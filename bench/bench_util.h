@@ -15,7 +15,6 @@
 #include <string>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "cudnn/cudnn.h"
 #include "func/exec_mode.h"
 #include "power/power_model.h"
@@ -51,9 +50,7 @@ buildMetaJson(int device_count = 1)
 #endif
     std::ostringstream os;
     os << "{\"compiler\": \"" << compiler << "\", \"build_type\": \""
-       << build_type
-       << "\", \"sim_threads\": " << ThreadPool::resolveThreadCount(0)
-       << ", \"exec_mode\": \""
+       << build_type << "\", \"exec_mode\": \""
        << func::execModeName(func::resolveExecMode(func::ExecMode::Auto))
        << "\", \"timing_mode\": \""
        << sample::timingModeName(

@@ -5,15 +5,14 @@
  * user fast-forward functionally and pay the detailed-model cost only for
  * the region of interest. Also emits BENCH_sim_speed.json — a
  * machine-readable record of simulator throughput (kernels/sec,
- * warp-instrs/sec, wall-clock) per sim_threads setting, so the perf
- * trajectory is tracked across PRs.
+ * warp-instrs/sec, wall-clock) in functional and performance mode, so the
+ * perf trajectory is tracked across PRs.
  */
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "chkpt/checkpoint.h"
@@ -33,13 +32,11 @@ struct WorkloadCounts
 
 /** A mid-sized conv workload used for mode-speed comparison. */
 WorkloadCounts
-runConvWorkload(cuda::SimMode mode, unsigned sim_threads = 1,
-                func::ExecMode exec = func::ExecMode::Auto)
+runConvWorkload(cuda::SimMode mode, func::ExecMode exec = func::ExecMode::Auto)
 {
     cuda::ContextOptions opts;
     opts.mode = mode;
     opts.gpu = timing::GpuConfig::gtx1050();
-    opts.sim_threads = sim_threads;
     opts.exec_mode = exec;
     cuda::Context ctx(opts);
     cudnn::CudnnHandle h(ctx);
@@ -68,20 +65,18 @@ runConvWorkload(cuda::SimMode mode, unsigned sim_threads = 1,
 void
 BM_FunctionalMode(benchmark::State &state)
 {
-    const auto threads = unsigned(state.range(0));
     for (auto _ : state)
-        runConvWorkload(cuda::SimMode::Functional, threads);
+        runConvWorkload(cuda::SimMode::Functional);
 }
-BENCHMARK(BM_FunctionalMode)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FunctionalMode)->Unit(benchmark::kMillisecond);
 
 void
 BM_PerformanceMode(benchmark::State &state)
 {
-    const auto threads = unsigned(state.range(0));
     for (auto _ : state)
-        runConvWorkload(cuda::SimMode::Performance, threads);
+        runConvWorkload(cuda::SimMode::Performance);
 }
-BENCHMARK(BM_PerformanceMode)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PerformanceMode)->Unit(benchmark::kMillisecond);
 
 /** Checkpoint fast-forward: functional prefix + detailed tail. */
 void
@@ -193,129 +188,48 @@ DONE:
 }
 BENCHMARK(BM_FullPerformanceRun)->Unit(benchmark::kMillisecond);
 
-// ---- machine-readable sim-speed record (BENCH_sim_speed.json) ----
+// ---- machine-readable sim-speed records ----
 
-struct SweepPoint
+/** One timed configuration of the conv workload. */
+struct SpeedPoint
 {
-    const char *mode_name;
+    const char *label;
     cuda::SimMode mode;
-    unsigned sim_threads;
-    double wall_seconds = 0.0;
-    WorkloadCounts counts;
+    func::ExecMode exec;
+    double wall_seconds = 1e300; ///< best of 3
+    WorkloadCounts counts{};
+
+    double
+    instrsPerSec() const
+    {
+        return double(counts.warp_instructions) / wall_seconds;
+    }
 };
 
-/** Best-of-3 wall clock for one (mode, threads) configuration. */
 void
-measure(SweepPoint &pt)
+measure(SpeedPoint &pt)
 {
-    double best = 1e300;
     for (int rep = 0; rep < 3; rep++) {
         const auto t0 = std::chrono::steady_clock::now();
-        pt.counts = runConvWorkload(pt.mode, pt.sim_threads);
+        pt.counts = runConvWorkload(pt.mode, pt.exec);
         const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(best,
-                        std::chrono::duration<double>(t1 - t0).count());
+        pt.wall_seconds = std::min(
+            pt.wall_seconds, std::chrono::duration<double>(t1 - t0).count());
     }
-    pt.wall_seconds = best;
 }
-
-void
-writeSimSpeedJson(const char *path)
-{
-    SweepPoint pts[] = {
-        {"functional", cuda::SimMode::Functional, 1, 0.0, {}},
-        {"functional", cuda::SimMode::Functional, 2, 0.0, {}},
-        {"functional", cuda::SimMode::Functional, 4, 0.0, {}},
-        {"performance", cuda::SimMode::Performance, 1, 0.0, {}},
-        {"performance", cuda::SimMode::Performance, 4, 0.0, {}},
-    };
-    for (auto &pt : pts)
-        measure(pt);
-
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"build_meta\": %s,\n", buildMetaJson().c_str());
-    std::fprintf(f, "  \"workload\": \"conv_fwd implicit_gemm+winograd_nonfused"
-                    " n2c8h14w14 k8r3s3 gtx1050\",\n");
-    std::fprintf(f, "  \"host_threads_available\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"runs\": [\n");
-    const size_t n = sizeof(pts) / sizeof(pts[0]);
-    for (size_t i = 0; i < n; i++) {
-        const SweepPoint &pt = pts[i];
-        const double ks = double(pt.counts.kernels) / pt.wall_seconds;
-        const double ws = double(pt.counts.warp_instructions) / pt.wall_seconds;
-        std::fprintf(f,
-                     "    {\"mode\": \"%s\", \"sim_threads\": %u, "
-                     "\"wall_seconds\": %.6f, \"kernels\": %llu, "
-                     "\"kernels_per_sec\": %.2f, "
-                     "\"warp_instructions\": %llu, "
-                     "\"warp_instrs_per_sec\": %.2f}%s\n",
-                     pt.mode_name, pt.sim_threads, pt.wall_seconds,
-                     (unsigned long long)pt.counts.kernels, ks,
-                     (unsigned long long)pt.counts.warp_instructions, ws,
-                     i + 1 < n ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"speedup_functional_4t\": %.3f,\n",
-                 pts[0].wall_seconds / pts[2].wall_seconds);
-    std::fprintf(f, "  \"speedup_performance_4t\": %.3f\n",
-                 pts[3].wall_seconds / pts[4].wall_seconds);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s (functional 4t speedup %.2fx, "
-                "performance 4t speedup %.2fx)\n",
-                path, pts[0].wall_seconds / pts[2].wall_seconds,
-                pts[3].wall_seconds / pts[4].wall_seconds);
-}
-
-// ---- interpreter vs compiled executor (BENCH_compiled_exec.json) ----
 
 /**
- * Same conv workload, functional mode, with the execution backend pinned:
- * the reference interpreter vs the decode-once compiled executor. Emitted
- * separately so BENCH_sim_speed.json keeps its schema; the headline number
- * is the warp-instrs/sec speedup at sim_threads 1 (pure backend effect, no
- * thread-pool scaling mixed in).
+ * Time `base` and `other`, then write `path`: the build stamp, one row per
+ * point (`label_key` names what the rows vary) and `ratio_key`, other's
+ * warp-instrs/sec over base's.
  */
 void
-writeCompiledExecJson(const char *path)
+writeSpeedJson(const char *path, const char *workload, const char *label_key,
+               SpeedPoint base, SpeedPoint other, const char *ratio_key)
 {
-    struct BackendPoint
-    {
-        const char *backend;
-        func::ExecMode exec;
-        unsigned sim_threads;
-        double wall_seconds = 1e300;
-        WorkloadCounts counts;
-    };
-    BackendPoint pts[] = {
-        {"interp", func::ExecMode::Interp, 1, 1e300, {}},
-        {"compiled", func::ExecMode::Compiled, 1, 1e300, {}},
-        {"interp", func::ExecMode::Interp, 4, 1e300, {}},
-        {"compiled", func::ExecMode::Compiled, 4, 1e300, {}},
-    };
-    for (auto &pt : pts) {
-        for (int rep = 0; rep < 3; rep++) {
-            const auto t0 = std::chrono::steady_clock::now();
-            pt.counts = runConvWorkload(cuda::SimMode::Functional,
-                                        pt.sim_threads, pt.exec);
-            const auto t1 = std::chrono::steady_clock::now();
-            pt.wall_seconds =
-                std::min(pt.wall_seconds,
-                         std::chrono::duration<double>(t1 - t0).count());
-        }
-    }
-
-    auto instrs_per_sec = [](const BackendPoint &pt) {
-        return double(pt.counts.warp_instructions) / pt.wall_seconds;
-    };
-    const double speedup_1t = instrs_per_sec(pts[1]) / instrs_per_sec(pts[0]);
-    const double speedup_4t = instrs_per_sec(pts[3]) / instrs_per_sec(pts[2]);
+    measure(base);
+    measure(other);
+    const double ratio = other.instrsPerSec() / base.instrsPerSec();
 
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -324,31 +238,25 @@ writeCompiledExecJson(const char *path)
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"build_meta\": %s,\n", buildMetaJson().c_str());
-    std::fprintf(f, "  \"workload\": \"conv_fwd implicit_gemm+winograd_nonfused"
-                    " n2c8h14w14 k8r3s3 gtx1050 functional\",\n");
+    std::fprintf(f, "  \"workload\": \"%s\",\n", workload);
     std::fprintf(f, "  \"runs\": [\n");
-    const size_t n = sizeof(pts) / sizeof(pts[0]);
-    for (size_t i = 0; i < n; i++) {
-        const BackendPoint &pt = pts[i];
+    for (const SpeedPoint *pt : {&base, &other}) {
         std::fprintf(f,
-                     "    {\"backend\": \"%s\", \"sim_threads\": %u, "
-                     "\"wall_seconds\": %.6f, "
+                     "    {\"%s\": \"%s\", \"wall_seconds\": %.6f, "
+                     "\"kernels\": %llu, \"kernels_per_sec\": %.2f, "
                      "\"warp_instructions\": %llu, "
                      "\"warp_instrs_per_sec\": %.2f}%s\n",
-                     pt.backend, pt.sim_threads, pt.wall_seconds,
-                     (unsigned long long)pt.counts.warp_instructions,
-                     instrs_per_sec(pt), i + 1 < n ? "," : "");
+                     label_key, pt->label, pt->wall_seconds,
+                     (unsigned long long)pt->counts.kernels,
+                     double(pt->counts.kernels) / pt->wall_seconds,
+                     (unsigned long long)pt->counts.warp_instructions,
+                     pt->instrsPerSec(), pt == &base ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"speedup_compiled_vs_interp_1t\": %.3f,\n",
-                 speedup_1t);
-    std::fprintf(f, "  \"speedup_compiled_vs_interp_4t\": %.3f\n",
-                 speedup_4t);
+    std::fprintf(f, "  \"%s\": %.3f\n", ratio_key, ratio);
     std::fprintf(f, "}\n");
     std::fclose(f);
-    std::printf("wrote %s (compiled vs interp warp-instrs/sec: %.2fx at 1t, "
-                "%.2fx at 4t)\n",
-                path, speedup_1t, speedup_4t);
+    std::printf("wrote %s (%s %.3f)\n", path, ratio_key, ratio);
 }
 
 } // namespace
@@ -360,7 +268,23 @@ main(int argc, char **argv)
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
-    writeSimSpeedJson("BENCH_sim_speed.json");
-    writeCompiledExecJson("BENCH_compiled_exec.json");
+    const char *kWorkload = "conv_fwd implicit_gemm+winograd_nonfused"
+                            " n2c8h14w14 k8r3s3 gtx1050";
+    // Section III-F: how much slower performance mode simulates than
+    // functional mode, in warp-instrs/sec.
+    writeSpeedJson("BENCH_sim_speed.json", kWorkload, "mode",
+                   {"performance", cuda::SimMode::Performance,
+                    func::ExecMode::Auto},
+                   {"functional", cuda::SimMode::Functional,
+                    func::ExecMode::Auto},
+                   "slowdown_performance_vs_functional");
+    // Functional-mode backend effect: decode-once compiled executor against
+    // the reference interpreter.
+    writeSpeedJson("BENCH_compiled_exec.json", kWorkload, "backend",
+                   {"interp", cuda::SimMode::Functional,
+                    func::ExecMode::Interp},
+                   {"compiled", cuda::SimMode::Functional,
+                    func::ExecMode::Compiled},
+                   "speedup_compiled_vs_interp");
     return 0;
 }

@@ -33,7 +33,7 @@ int
 usage()
 {
     std::puts(
-        "usage: mlgs-difftest [--seed N] [--count M] [--threads K]\n"
+        "usage: mlgs-difftest [--seed N] [--count M]\n"
         "                     [--exec interp|compiled|both]\n"
         "                     [--inject rem|bfe|fma] [--minimize]\n"
         "                     [--dump DIR] [--repro BASE]");
@@ -72,8 +72,6 @@ main(int argc, char **argv)
             seed = std::stoull(next());
         else if (a == "--count")
             count = std::stoull(next());
-        else if (a == "--threads")
-            opts.parallel_threads = unsigned(std::stoul(next()));
         else if (a == "--minimize")
             want_minimize = true;
         else if (a == "--dump")

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 
 #include "common/log.h"
@@ -124,16 +123,15 @@ struct RunImage
 };
 
 /**
- * One SIMT-engine run. Registers are captured only on the serial path
- * (capture_regs): CTAs are stepped one by one through makeCta/runCta so the
- * final register file can be read back before the CTA state is destroyed.
+ * One SIMT-engine run. CTAs are stepped one by one through makeCta/runCta so
+ * the final register file can be read back before the CTA state is
+ * destroyed.
  */
 RunImage
 runEngine(const ptx::KernelDef &k, const LaunchSpec &spec,
           const BufferPlan &plan, const std::vector<uint8_t> &in0,
           const std::vector<uint8_t> &in1, const func::BugModel &bugs,
-          bool capture_regs, bool race_check, unsigned pool_threads,
-          func::ExecMode mode)
+          bool race_check, func::ExecMode mode)
 {
     GpuMemory mem;
     mem.write(plan.in0, in0.data(), in0.size());
@@ -149,34 +147,23 @@ runEngine(const ptx::KernelDef &k, const LaunchSpec &spec,
     env.params = packParams(k, plan, spec.totalThreads());
 
     RunImage img;
-    if (capture_regs) {
-        const unsigned tpc = unsigned(spec.block.count());
-        func::FuncStats stats;
-        for (uint64_t c = 0; c < spec.grid.count(); c++) {
-            auto cta = engine.makeCta(env, spec.grid, spec.block, c);
-            if (race_check)
-                cta->enableRaceCheck();
-            engine.runCta(*cta, env, UINT64_MAX, &stats);
-            for (unsigned t = 0; t < tpc; t++) {
-                const auto &regs = cta->thread(t).regs;
-                std::vector<uint64_t> cells(regs.size());
-                static_assert(sizeof(ptx::RegVal) == 8,
-                              "RegVal must be a 64-bit cell");
-                std::memcpy(cells.data(), regs.data(), regs.size() * 8);
-                img.regs.push_back(std::move(cells));
-            }
+    const unsigned tpc = unsigned(spec.block.count());
+    func::FuncStats stats;
+    for (uint64_t c = 0; c < spec.grid.count(); c++) {
+        auto cta = engine.makeCta(env, spec.grid, spec.block, c);
+        if (race_check)
+            cta->enableRaceCheck();
+        engine.runCta(*cta, env, UINT64_MAX, &stats);
+        for (unsigned t = 0; t < tpc; t++) {
+            const auto &regs = cta->thread(t).regs;
+            std::vector<uint64_t> cells(regs.size());
+            static_assert(sizeof(ptx::RegVal) == 8,
+                          "RegVal must be a 64-bit cell");
+            std::memcpy(cells.data(), regs.data(), regs.size() * 8);
+            img.regs.push_back(std::move(cells));
         }
-        img.shared_races = stats.shared_races;
-    } else {
-        std::unique_ptr<ThreadPool> pool;
-        if (pool_threads > 1) {
-            pool = std::make_unique<ThreadPool>(pool_threads);
-            engine.setThreadPool(pool.get());
-        }
-        const func::FuncStats stats =
-            engine.launch(env, spec.grid, spec.block);
-        img.shared_races = stats.shared_races;
     }
+    img.shared_races = stats.shared_races;
 
     img.out.resize(plan.out_bytes);
     mem.read(plan.out, img.out.data(), img.out.size());
@@ -411,8 +398,7 @@ runPtx(const std::string &ptx_text, const LaunchSpec &spec,
             // asked of every selected backend.
             for (const func::ExecMode mode : backends) {
                 const RunImage bad = runEngine(*k, spec, plan, in0, in1,
-                                               opts.inject, true, false, 1,
-                                               mode);
+                                               opts.inject, false, mode);
                 if (diverged(ref, bad)) {
                     r.injected_diverged = true;
                     noteDiverged(r, mode);
@@ -422,12 +408,12 @@ runPtx(const std::string &ptx_text, const LaunchSpec &spec,
             return r;
         }
 
-        r.serial_match = r.parallel_match = r.race_run_match = true;
+        r.serial_match = r.race_run_match = true;
         for (const func::ExecMode mode : backends) {
             const std::string tag = func::execModeName(mode);
 
-            const RunImage serial = runEngine(*k, spec, plan, in0, in1, {},
-                                              true, false, 1, mode);
+            const RunImage serial =
+                runEngine(*k, spec, plan, in0, in1, {}, false, mode);
             std::string where;
             if (!regsMatch(ref, serial, &where)) {
                 r.serial_match = false;
@@ -442,19 +428,8 @@ runPtx(const std::string &ptx_text, const LaunchSpec &spec,
                                   std::to_string(d0));
             }
 
-            const RunImage par =
-                runEngine(*k, spec, plan, in0, in1, {}, false, false,
-                          opts.parallel_threads, mode);
-            if (firstOutDiff(ref, par) >= 0) {
-                r.parallel_match = false;
-                noteDiverged(r, mode);
-                setFailure(r, tag + ": parallel (sim_threads " +
-                                  std::to_string(opts.parallel_threads) +
-                                  ") output mismatch");
-            }
-
-            const RunImage raced = runEngine(*k, spec, plan, in0, in1, {},
-                                             true, true, 1, mode);
+            const RunImage raced =
+                runEngine(*k, spec, plan, in0, in1, {}, true, mode);
             if (diverged(ref, raced)) {
                 r.race_run_match = false;
                 noteDiverged(r, mode);
@@ -479,8 +454,7 @@ runPtx(const std::string &ptx_text, const LaunchSpec &spec,
                 {.split_fma = true}};
             for (int i = 0; i < 3; i++) {
                 const RunImage bad = runEngine(*k, spec, plan, in0, in1,
-                                               models[i], true, false, 1,
-                                               probe);
+                                               models[i], false, probe);
                 r.bug_diverged[i] = diverged(ref, bad);
             }
         }
@@ -489,8 +463,8 @@ runPtx(const std::string &ptx_text, const LaunchSpec &spec,
         return r;
     }
 
-    r.ok = r.verifier_clean && r.serial_match && r.parallel_match &&
-           r.race_run_match && r.shared_races == 0;
+    r.ok = r.verifier_clean && r.serial_match && r.race_run_match &&
+           r.shared_races == 0;
     return r;
 }
 
@@ -685,7 +659,7 @@ checkDefect(uint64_t seed, Defect defect)
         std::vector<uint8_t> in0, in1;
         fillInputs(gk.spec, in0, in1);
         const RunImage img = runEngine(*k, gk.spec, plan, in0, in1, {}, true,
-                                       true, 1, func::ExecMode::Auto);
+                                       func::ExecMode::Auto);
         r.dynamic_races = img.shared_races;
     }
     return r;

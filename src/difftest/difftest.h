@@ -2,7 +2,7 @@
  * @file
  * Differential-testing driver (the paper's Section III-D methodology,
  * industrialized): run a generated kernel through the independent scalar
- * reference (RefExec), the SIMT engine serially and with a CTA thread pool,
+ * reference (RefExec), the SIMT engine, the engine under the race shadow,
  * and the engine with each bug_model.h injection flag — asserting bitwise
  * equality on the clean paths and divergence on the injected-bug paths —
  * plus static/dynamic cross-checks of the PTX verifier and race shadow.
@@ -44,12 +44,9 @@ struct DiffOptions
      */
     bool check_bug_detectability = true;
 
-    /** Worker count for the parallel (sim_threads > 1) engine run. */
-    unsigned parallel_threads = 4;
-
     /**
      * Functional backend(s) under test. The default (Both) runs the
-     * serial/parallel/race cross-checks once per backend, so every fuzz
+     * serial/race cross-checks once per backend, so every fuzz
      * seed validates the interpreter *and* the compiled executor against
      * RefExec; bug detectability is probed on the compiled backend (the
      * production default — the flags are baked in at lowering time there).
@@ -63,7 +60,6 @@ struct DiffResult
     bool parse_ok = false;
     bool verifier_clean = false; ///< no Warning/Error diagnostics
     bool serial_match = false;   ///< RefExec == engine (registers + memory)
-    bool parallel_match = false; ///< RefExec == engine with thread pool
     bool race_run_match = false; ///< RefExec == engine under check_races
     uint64_t shared_races = 0;   ///< dynamic race-shadow count (clean: 0)
     bool injected_diverged = false; ///< only meaningful with opts.inject

@@ -64,16 +64,6 @@ class CoverageMap
         return only;
     }
 
-    /** Fold another map in (deterministic worker-shard reduction). */
-    void
-    merge(const CoverageMap &o)
-    {
-        if (o.counts_.size() > counts_.size())
-            counts_.resize(o.counts_.size(), 0);
-        for (uint32_t id = 0; id < o.counts_.size(); id++)
-            counts_[id] += o.counts_[id];
-    }
-
     void clear() { counts_.clear(); }
 
   private:

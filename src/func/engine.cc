@@ -78,14 +78,7 @@ bool
 FunctionalEngine::runCta(CtaExec &cta, const LaunchEnv &env,
                          uint64_t max_instr_per_warp, FuncStats *stats)
 {
-    return runCtaWith(*interp_, cta, env, max_instr_per_warp, stats);
-}
-
-bool
-FunctionalEngine::runCtaWith(Interpreter &interp, CtaExec &cta,
-                             const LaunchEnv &env, uint64_t max_instr_per_warp,
-                             FuncStats *stats)
-{
+    Interpreter &interp = *interp_;
     if (interp.raceCheck())
         cta.enableRaceCheck();
     // The compiled backend runs warps in batches (whole basic-block spans per
@@ -158,54 +151,12 @@ FunctionalEngine::launch(const LaunchEnv &env, const Dim3 &grid,
                          const Dim3 &block)
 {
     const uint64_t num_ctas = grid.count();
-    // The site profiler accumulates per-pc counters in one map; CTAs must
-    // run serially while it is attached.
-    const bool parallel = pool_ && pool_->threadCount() > 1 && num_ctas > 1 &&
-                          !ptx::usesGlobalAtomics(*env.kernel) &&
-                          !interp_->siteProfiler();
-    if (parallel)
-        return launchParallel(env, grid, block, num_ctas);
-
     FuncStats stats;
     for (uint64_t c = 0; c < num_ctas; c++) {
         auto cta = makeCta(env, grid, block, c);
         const bool done = runCta(*cta, env, UINT64_MAX, &stats);
         MLGS_ASSERT(done, "unlimited CTA run did not complete");
     }
-    return stats;
-}
-
-FuncStats
-FunctionalEngine::launchParallel(const LaunchEnv &env, const Dim3 &grid,
-                                 const Dim3 &block, uint64_t num_ctas)
-{
-    // Per-worker shards: CTAs share only GpuMemory (thread-safe) and the
-    // read-only launch env. Stats are all commutative integer sums and
-    // coverage counts are integer vectors, so reducing the shards in fixed
-    // worker order reproduces the serial totals bitwise.
-    const unsigned workers = pool_->threadCount();
-    CoverageMap *cov = interp_->coverage();
-    std::vector<FuncStats> stat_shards(workers);
-    std::vector<CoverageMap> cov_shards(cov ? workers : 0);
-
-    pool_->parallelFor(num_ctas, [&](uint64_t c, unsigned w) {
-        Interpreter interp(interp_->memory(), interp_->bugs(),
-                           interp_->execMode());
-        interp.setRaceCheck(interp_->raceCheck());
-        if (cov)
-            interp.setCoverage(&cov_shards[w]);
-        auto cta = makeCta(env, grid, block, c);
-        const bool done =
-            runCtaWith(interp, *cta, env, UINT64_MAX, &stat_shards[w]);
-        MLGS_ASSERT(done, "unlimited CTA run did not complete");
-    });
-
-    FuncStats stats;
-    for (unsigned w = 0; w < workers; w++)
-        stats += stat_shards[w];
-    if (cov)
-        for (unsigned w = 0; w < workers; w++)
-            cov->merge(cov_shards[w]);
     return stats;
 }
 

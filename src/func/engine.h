@@ -9,7 +9,6 @@
 
 #include <memory>
 
-#include "common/thread_pool.h"
 #include "func/interpreter.h"
 
 namespace mlgs::func
@@ -59,22 +58,12 @@ struct FuncStats
 };
 
 /**
- * Executes grids CTA-by-CTA on an Interpreter.
- *
- * With a ThreadPool attached (setThreadPool), launch() fans independent CTAs
- * out across the pool's workers: each worker steps whole CTAs with its own
- * FuncStats/CoverageMap shard, and shards are reduced in a fixed worker
- * order afterwards, so results are bitwise identical to a serial run.
- * Kernels whose static analysis shows global atom/red (usesGlobalAtomics)
- * run serially so float-atomic ordering never changes numerics.
+ * Executes grids CTA-by-CTA, in linear CTA order, on an Interpreter.
  */
 class FunctionalEngine
 {
   public:
     explicit FunctionalEngine(Interpreter &interp) : interp_(&interp) {}
-
-    /** Attach (or detach with nullptr) the worker pool for CTA fan-out. */
-    void setThreadPool(ThreadPool *pool) { pool_ = pool; }
 
     /** Run a full grid to completion. */
     FuncStats launch(const LaunchEnv &env, const Dim3 &grid, const Dim3 &block);
@@ -97,15 +86,7 @@ class FunctionalEngine
     Interpreter &interpreter() { return *interp_; }
 
   private:
-    static bool runCtaWith(Interpreter &interp, CtaExec &cta,
-                           const LaunchEnv &env, uint64_t max_instr_per_warp,
-                           FuncStats *stats);
-
-    FuncStats launchParallel(const LaunchEnv &env, const Dim3 &grid,
-                             const Dim3 &block, uint64_t num_ctas);
-
     Interpreter *interp_;
-    ThreadPool *pool_ = nullptr;
 };
 
 } // namespace mlgs::func

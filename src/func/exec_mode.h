@@ -3,9 +3,9 @@
  * Functional-execution backend selection. Two backends produce bitwise-
  * identical results: the reference interpreter (per-instruction decode) and
  * the compiled micro-op executor (decode-once lowering + threaded dispatch,
- * src/func/compiled/). Selection order mirrors ThreadPool::resolveThreadCount:
- * an explicit ContextOptions/constructor choice wins, then the MLGS_EXEC
- * environment variable ("interp" / "compiled"), then the default (compiled).
+ * src/func/compiled/). Selection order: an explicit ContextOptions or
+ * constructor choice wins, then the MLGS_EXEC environment variable
+ * ("interp" / "compiled"), then the default (compiled).
  */
 #ifndef MLGS_FUNC_EXEC_MODE_H
 #define MLGS_FUNC_EXEC_MODE_H

@@ -6,8 +6,8 @@
  * starting no earlier than both the requester's ready time and the moment
  * the link last went idle, then lands after a fixed pipelined latency.
  * All arithmetic is integral device cycles, and reservations are made in
- * host API order (single-threaded), so link timing is bitwise-deterministic
- * at any sim_threads setting.
+ * host API order on the calling thread, so link timing is
+ * bitwise-deterministic.
  */
 #ifndef MLGS_LINK_FABRIC_H
 #define MLGS_LINK_FABRIC_H

@@ -6,14 +6,9 @@
 namespace mlgs
 {
 
-// Page storage is stable once materialized: std::unordered_map never moves
-// its nodes and each vector is sized exactly once under the writer lock, so
-// returned Page references stay valid after the lock is released.
-
 const GpuMemory::Page *
 GpuMemory::findPage(addr_t page_idx) const
 {
-    std::shared_lock<std::shared_mutex> lk(mu_);
     const auto it = pages_.find(page_idx);
     return it == pages_.end() ? nullptr : &it->second;
 }
@@ -21,13 +16,6 @@ GpuMemory::findPage(addr_t page_idx) const
 GpuMemory::Page &
 GpuMemory::touchPage(addr_t page_idx)
 {
-    {
-        std::shared_lock<std::shared_mutex> lk(mu_);
-        const auto it = pages_.find(page_idx);
-        if (it != pages_.end())
-            return it->second;
-    }
-    std::unique_lock<std::shared_mutex> lk(mu_);
     auto &page = pages_[page_idx];
     if (page.empty())
         page.assign(kPageSize, 0);

@@ -9,8 +9,6 @@
 
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -20,17 +18,7 @@
 namespace mlgs
 {
 
-/**
- * Byte-addressable sparse memory image. Untouched pages read as zero.
- *
- * Concurrent read()/write() calls from pool workers are supported: the page
- * table is guarded by a shared mutex, and page storage never moves once
- * materialized, so data accesses happen outside the lock. Byte-range races
- * (two workers touching the same address) are the caller's responsibility —
- * the engines fall back to serial execution for kernels that need cross-CTA
- * ordering (global atomics). save()/restore()/clear() are not thread-safe
- * and must only run while no kernel is executing.
- */
+/** Byte-addressable sparse memory image. Untouched pages read as zero. */
 class GpuMemory
 {
   public:
@@ -64,12 +52,7 @@ class GpuMemory
     void memset(addr_t addr, uint8_t value, size_t n);
 
     /** Number of materialized pages (test/diagnostic hook). */
-    size_t
-    pageCount() const
-    {
-        std::shared_lock<std::shared_mutex> lk(mu_);
-        return pages_.size();
-    }
+    size_t pageCount() const { return pages_.size(); }
 
     /** Serialize the full image (checkpoint Data2). */
     void save(BinaryWriter &w) const;
@@ -78,12 +61,7 @@ class GpuMemory
     void restore(BinaryReader &r);
 
     /** Drop all contents. */
-    void
-    clear()
-    {
-        std::unique_lock<std::shared_mutex> lk(mu_);
-        pages_.clear();
-    }
+    void clear() { pages_.clear(); }
 
   private:
     using Page = std::vector<uint8_t>;
@@ -92,7 +70,6 @@ class GpuMemory
     Page &touchPage(addr_t page_idx);
 
     std::unordered_map<addr_t, Page> pages_;
-    mutable std::shared_mutex mu_; ///< guards the page table, not page bytes
 };
 
 } // namespace mlgs

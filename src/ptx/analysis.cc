@@ -114,14 +114,6 @@ variantCount()
     return uint32_t(r.names.size());
 }
 
-bool
-usesGlobalAtomics(const KernelDef &kernel)
-{
-    MLGS_ASSERT(kernel.analyzed,
-                "usesGlobalAtomics before analyzeKernel on ", kernel.name);
-    return kernel.global_atomics;
-}
-
 void
 analyzeKernel(KernelDef &kernel)
 {
@@ -129,15 +121,9 @@ analyzeKernel(KernelDef &kernel)
         return;
     kernel.analyzed = true;
 
-    kernel.global_atomics = false;
     for (auto &ins : kernel.instrs) {
         computeRegLists(ins);
         ins.variant_id = internVariant(ins.text);
-        // Generic-space atomics (Space::None) may resolve to shared or
-        // global at runtime; count them as global to stay conservative.
-        if ((ins.op == Op::Atom || ins.op == Op::Red) &&
-            ins.space != Space::Shared)
-            kernel.global_atomics = true;
     }
 
     const Cfg cfg(kernel);

@@ -327,13 +327,6 @@ struct KernelDef
      */
     std::shared_ptr<UopCache> uop_cache;
 
-    /**
-     * Kernel performs atomics outside shared memory (set by analyzeKernel).
-     * Such kernels communicate across CTAs, so the functional engine runs
-     * them serially to keep float-atomic ordering — and numerics — fixed.
-     */
-    bool global_atomics = false;
-
     int
     regId(const std::string &name) const
     {
@@ -402,15 +395,9 @@ void analyzeKernel(KernelDef &kernel);
 std::string formatInstr(const KernelDef &kernel, const Instr &ins);
 
 /**
- * Does the kernel use atom/red outside shared memory? Requires analyzeKernel
- * to have run (parseModule does; instrumented kernels are re-analyzed).
- */
-bool usesGlobalAtomics(const KernelDef &kernel);
-
-/**
  * Process-wide intern table mapping instruction mnemonic text to dense ids.
  * Thread-safe; ids are stable for the life of the process, so coverage maps
- * from different kernels and workers index the same space.
+ * from different kernels index the same space.
  */
 uint32_t internVariant(const std::string &text);
 

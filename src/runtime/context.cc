@@ -36,20 +36,16 @@ Context::Context(ContextOptions opts) : opts_(std::move(opts))
     MLGS_REQUIRE(opts_.device_count >= 1,
                  "ContextOptions.device_count must be >= 1, got ",
                  opts_.device_count);
-    const unsigned sim_threads =
-        ThreadPool::resolveThreadCount(opts_.sim_threads);
-    if (sim_threads > 1)
-        pool_ = std::make_unique<ThreadPool>(sim_threads);
+    MLGS_REQUIRE(opts_.sim_threads == 1,
+                 "ContextOptions.sim_threads was removed (simulation runs on "
+                 "the calling thread); leave it at 1, got ",
+                 opts_.sim_threads);
     fabric_ = std::make_unique<link::Fabric>(opts_.device_count, opts_.link);
     if (opts_.mode == SimMode::Performance)
         resolved_timing_ = sample::resolveTimingMode(opts_.timing_mode);
 
     for (int i = 0; i < opts_.device_count; i++) {
         auto d = std::make_unique<Device>(opts_);
-        if (pool_) {
-            d->func_engine.setThreadPool(pool_.get());
-            d->gpu->setThreadPool(pool_.get());
-        }
         if (opts_.mode == SimMode::Performance) {
             if (resolved_timing_ != sample::TimingMode::Detailed) {
                 auto sb = std::make_unique<sample::SampledBackend>(

@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "engine/device_engine.h"
 #include "engine/exec_backend.h"
 #include "func/engine.h"
@@ -134,13 +133,10 @@ struct ContextOptions
     bool check_races = false;
 
     /**
-     * Host worker threads for the simulation itself: parallel CTA fan-out
-     * in functional mode, sharded per-cycle core stepping in performance
-     * mode. 0 = auto (MLGS_SIM_THREADS env var, else hardware concurrency);
-     * 1 = exact legacy serial path. Results are bitwise identical at any
-     * setting. Multi-GPU contexts share one pool across all devices.
+     * Deprecated: simulation always runs on the calling thread. Kept only
+     * for callers that still pin it to 1; any other value is rejected.
      */
-    unsigned sim_threads = 0;
+    unsigned sim_threads = 1;
 
     /** Number of simulated GPUs hosted by this context (>= 1). */
     int device_count = 1;
@@ -375,8 +371,8 @@ class Context : public func::TextureProvider
     /** Functional-instruction grand total (sim-speed comparisons). */
     uint64_t totalWarpInstructions() const { return total_warp_instructions_; }
 
-    /** Resolved simulation worker count (>= 1). */
-    unsigned simThreads() const { return pool_ ? pool_->threadCount() : 1; }
+    /** Always 1: simulation runs on the calling thread. */
+    unsigned simThreads() const { return 1; }
 
   private:
     struct TexRef
@@ -444,8 +440,7 @@ class Context : public func::TextureProvider
      * a PeerRecv blocked on device B unblocks only after device A's engine
      * starts the matching PeerSend, so quiescence is a fixed point over all
      * engines. Runs on the host thread in device-index order, which keeps
-     * link reservations (and therefore all timing) bitwise-deterministic at
-     * any sim_threads.
+     * link reservations (and therefore all timing) bitwise-deterministic.
      */
     void drainAll();
 
@@ -453,7 +448,6 @@ class Context : public func::TextureProvider
     unsigned arrayIndexOf(const TexArray *arr) const;
 
     ContextOptions opts_;
-    std::unique_ptr<ThreadPool> pool_; ///< outlives the engines that use it
     std::unique_ptr<link::Fabric> fabric_; ///< outlives the device engines
     sample::TimingMode resolved_timing_ = sample::TimingMode::Detailed;
     std::vector<std::unique_ptr<Device>> devices_;

@@ -11,9 +11,6 @@
  *   timing_mode  detailed / sampled / predicted (resolved, never Auto)
  *   build_stamp  compiler + build date + format versions
  *
- * sim_threads is deliberately absent: results are bitwise identical at any
- * worker count, so one cached entry serves every thread budget.
- *
  * Eviction is LRU under a byte budget (JSON size + fixed per-entry
  * overhead). Optionally each entry is mirrored to a persist directory as a
  * small serialize.h-framed file named by the key, so a daemon restart with

@@ -60,7 +60,6 @@ Client::submit(const std::vector<uint8_t> &trace_bytes,
     SubmitRequest req;
     req.priority = opts.priority;
     req.timing_mode = opts.timing_mode;
-    req.sim_threads = opts.sim_threads;
     req.has_options_override = opts.has_options_override;
     req.options_override = opts.options_override;
     req.trace_bytes = trace_bytes;

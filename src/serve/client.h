@@ -23,7 +23,6 @@ struct SubmitOptions
 {
     uint8_t priority = 0;
     uint8_t timing_mode = 0; ///< sample::TimingMode raw; Auto = trace default
-    uint32_t sim_threads = 0;
     bool has_options_override = false;
     trace::TraceOptions options_override;
 };

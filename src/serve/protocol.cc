@@ -33,7 +33,6 @@ SubmitRequest::encode(BinaryWriter &w) const
     beginMsg(w, MsgType::SubmitRequest);
     w.put<uint8_t>(priority);
     w.put<uint8_t>(timing_mode);
-    w.put<uint32_t>(sim_threads);
     w.put<uint8_t>(has_options_override ? 1 : 0);
     if (has_options_override)
         options_override.save(w);
@@ -46,7 +45,6 @@ SubmitRequest::decode(BinaryReader &r)
     SubmitRequest req;
     req.priority = r.get<uint8_t>();
     req.timing_mode = r.get<uint8_t>();
-    req.sim_threads = r.get<uint32_t>();
     req.has_options_override = r.get<uint8_t>() != 0;
     if (req.has_options_override)
         req.options_override.load(r);
@@ -73,7 +71,11 @@ SubmitResponse
 SubmitResponse::decode(BinaryReader &r)
 {
     SubmitResponse resp;
-    resp.status = Status(r.get<uint8_t>());
+    const uint8_t status = r.get<uint8_t>();
+    MLGS_REQUIRE(status <= uint8_t(Status::ShuttingDown),
+                 "serve: submit response has unknown status byte ",
+                 unsigned(status));
+    resp.status = Status(status);
     resp.retry_after_ms = r.get<uint32_t>();
     resp.error = r.getString();
     resp.cache_hit = r.get<uint8_t>();

@@ -31,7 +31,7 @@ namespace mlgs::serve
 {
 
 constexpr uint64_t kServeMagic = 0x4556525353474c4dull; // "MLGSSRVE"
-constexpr uint32_t kServeVersion = 1;
+constexpr uint32_t kServeVersion = 2;
 
 /** Upper bound on one frame's payload (a trace plus slack). */
 constexpr uint64_t kMaxFrameBytes = uint64_t(1) << 30;
@@ -50,7 +50,7 @@ enum class MsgType : uint8_t
     ErrorResponse,    ///< protocol-level failure (bad frame / bad message)
 };
 
-/** Outcome of a submission. */
+/** Outcome of a submission. Append-only; decode rejects unknown values. */
 enum class Status : uint8_t
 {
     Ok = 0,
@@ -66,15 +66,12 @@ const char *statusName(Status s);
 
 /**
  * One simulation job: a complete .mlgstrace image plus the descriptor of how
- * to time it. sim_threads is a per-job worker budget (0 = server default)
- * and is deliberately NOT part of the cache key: results are bitwise
- * identical at any thread count, which is exactly what makes them cacheable.
+ * to time it.
  */
 struct SubmitRequest
 {
     uint8_t priority = 0;    ///< higher runs first among queued jobs
     uint8_t timing_mode = 0; ///< sample::TimingMode raw; Auto = trace default
-    uint32_t sim_threads = 0;
     /**
      * Optional replacement for the trace's own TraceOptions (GpuConfig,
      * scheduler/DRAM policy, ...): one recorded workload can be swept across

@@ -282,8 +282,6 @@ Server::handleSubmit(BinaryReader &r)
             job.priority = req.priority;
             job.seq = next_seq_++;
             job.timing_mode = uint8_t(mode);
-            job.sim_threads = req.sim_threads ? req.sim_threads
-                                              : opts_.default_sim_threads;
             job.trace = std::move(trace);
             job.state = state;
             queue_.push_back(std::move(job));
@@ -367,7 +365,6 @@ Server::runJob(Job &job)
     trace::TraceReplayer rep(std::move(job.trace));
     cuda::ContextOptions copts = rep.options();
     copts.timing_mode = sample::TimingMode(job.timing_mode);
-    copts.sim_threads = job.sim_threads;
 
     const auto t0 = std::chrono::steady_clock::now();
     cuda::Context ctx(copts);

@@ -4,7 +4,7 @@
  * .mlgstrace submissions over a local AF_UNIX socket and scheduling them
  * across a bounded pool of simulation workers, each job in its own freshly
  * constructed Context (full isolation — no simulator state leaks between
- * jobs) with a per-job sim_threads budget.
+ * jobs). Each job simulates on its worker thread.
  *
  * Results flow through a content-addressed ResultCache keyed by
  * (trace content hash, config hash, timing mode, build stamp): determinism
@@ -55,8 +55,6 @@ struct ServerOptions
     unsigned workers = 2;    ///< simulation worker threads
     /** Jobs queued beyond the running ones before shedding kicks in. */
     unsigned max_queue = 8;
-    /** sim_threads for jobs that do not request a budget (0 = auto). */
-    unsigned default_sim_threads = 0;
     uint64_t cache_bytes = uint64_t(256) << 20;
     std::string cache_persist_dir; ///< empty = in-memory only
     /** Predictor training set file: loaded on start, saved as jobs add rows
@@ -120,7 +118,6 @@ class Server
         uint8_t priority = 0;
         uint64_t seq = 0; ///< admission order; FIFO within a priority
         uint8_t timing_mode = 0;
-        unsigned sim_threads = 0;
         trace::TraceFile trace; ///< effective options already applied
         std::shared_ptr<JobState> state;
     };

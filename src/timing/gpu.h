@@ -18,7 +18,6 @@
 #include <memory>
 #include <optional>
 
-#include "common/thread_pool.h"
 #include "func/interpreter.h"
 #include "stats/aerial.h"
 #include "timing/core.h"
@@ -142,17 +141,6 @@ class GpuModel
     cycle_t totalCycles() const { return totals_.cycles; }
 
     /**
-     * Attach (or detach with nullptr) the worker pool. With a pool, each
-     * cycle's ShaderCore::cycle calls are sharded across workers; all
-     * cross-core interaction (queue drains, interconnect, partitions) stays
-     * on the calling thread in ascending core-id order, so cycle counts and
-     * all statistics match the serial run bitwise. The serial path is used
-     * whenever an AerialSampler or CoverageMap is attached or a resident
-     * kernel uses global atomics (shared mutable state / ordering).
-     */
-    void setThreadPool(ThreadPool *pool) { pool_ = pool; }
-
-    /**
      * Per-bank DRAM row hit/miss counters, partition-major (partition p,
      * bank b at index p * dram_banks + b). Determinism-suite hook.
      */
@@ -205,14 +193,12 @@ class GpuModel
     };
 
     void cycleOnce(cycle_t now, stats::AerialSampler *sampler);
-    bool parallelStepAllowed(const stats::AerialSampler *sampler) const;
     bool anythingInFlight() const;
     StatBase snapshot() const;
     KernelCompletion finishActive(size_t idx);
 
     GpuConfig cfg_;
     func::Interpreter *interp_;
-    ThreadPool *pool_ = nullptr;
     std::vector<std::unique_ptr<ShaderCore>> cores_;
     std::vector<std::unique_ptr<MemPartition>> partitions_;
     DelayQueue<MemFetch> to_partition_;

@@ -44,8 +44,7 @@ class TraceReplayer
 
     /**
      * ContextOptions reconstructed from the trace so a replay context is
-     * configured exactly like the recorded one. sim_threads is left at 0
-     * (auto) — results are bitwise identical at any thread count.
+     * configured exactly like the recorded one.
      */
     cuda::ContextOptions options() const;
 

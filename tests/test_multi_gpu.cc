@@ -3,8 +3,8 @@
  * Multi-GPU suite: device-table isolation, peer-to-peer copies over the link
  * fabric (byte fidelity + timing monotonicity under contention), nccl-lite
  * ring/chain all-reduce bitwise against their host mirrors, data-parallel
- * LeNet training bitwise against the single-GPU sharded reference, sim_threads
- * determinism across devices, and the negative paths of the device table.
+ * LeNet training bitwise against the single-GPU sharded reference, and the
+ * negative paths of the device table.
  */
 #include <gtest/gtest.h>
 
@@ -357,57 +357,6 @@ TEST(MultiGpu, DataParallelLeNetMatchesSingleGpu4)
 TEST(MultiGpu, DataParallelLeNetMatchesSingleGpu8)
 {
     runDataParallelCase(8, 1);
-}
-
-// ---- determinism across sim_threads ----
-
-struct DpRun
-{
-    float loss = 0;
-    std::vector<float> conv1_w;
-    std::vector<cycle_t> elapsed;
-    std::vector<timing::TimingTotals> totals;
-    uint64_t fabric_bytes = 0;
-};
-
-DpRun
-runDpTimed(unsigned threads)
-{
-    cuda::ContextOptions opts = multiOpts(2, cuda::SimMode::Performance);
-    opts.sim_threads = threads;
-    cuda::Context ctx(opts);
-    torchlet::LeNetAlgos algos;
-    algos.fc2_gemv2t = false;
-    // Direct convolutions: the cheapest kernels to cycle-simulate. The
-    // cross-device machinery under test is identical for every algorithm.
-    algos.conv1 = cudnn::ConvFwdAlgo::ImplicitGemm;
-    algos.conv2 = cudnn::ConvFwdAlgo::ImplicitGemm;
-    torchlet::DataParallelLeNet dp(ctx, 2, algos, 11);
-    const auto data = torchlet::makeMnist(2, 33);
-    DpRun run;
-    run.loss = dp.trainStep(data.images.data(), data.labels.data(), 0.05f);
-    run.conv1_w = dp.getWeights(0).conv1_w;
-    for (int d = 0; d < 2; d++) {
-        run.elapsed.push_back(ctx.elapsedCycles(d));
-        run.totals.push_back(ctx.gpuModel(d).totals());
-    }
-    run.fabric_bytes = ctx.fabric().totalBytes();
-    return run;
-}
-
-TEST(MultiGpu, DataParallelDeterministicAcrossSimThreads)
-{
-    const DpRun serial = runDpTimed(1);
-    const DpRun par = runDpTimed(4);
-    EXPECT_EQ(serial.loss, par.loss);
-    EXPECT_EQ(0, std::memcmp(serial.conv1_w.data(), par.conv1_w.data(),
-                             serial.conv1_w.size() * 4));
-    ASSERT_EQ(serial.elapsed.size(), par.elapsed.size());
-    for (size_t d = 0; d < serial.elapsed.size(); d++) {
-        EXPECT_EQ(serial.elapsed[d], par.elapsed[d]) << "device " << d;
-        expectTotalsEq(serial.totals[d], par.totals[d]);
-    }
-    EXPECT_EQ(serial.fabric_bytes, par.fabric_bytes);
 }
 
 // ---- single-device regression ----

@@ -367,4 +367,22 @@ TEST(Runtime, PerformanceModeProducesCycles)
         ASSERT_FLOAT_EQ(out[i], 2.0f);
 }
 
+TEST(Runtime, SimThreadsOtherThanOneIsRejected)
+{
+    // Simulation runs on the calling thread; the field survives only for
+    // callers that pin it to 1.
+    ContextOptions opts;
+    EXPECT_EQ(opts.sim_threads, 1u);
+    EXPECT_EQ(Context(opts).simThreads(), 1u);
+    opts.sim_threads = 4;
+    try {
+        Context ctx(opts);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("sim_threads was removed"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 } // namespace

@@ -4,8 +4,7 @@
  * detailed backend, repeated launches cycle-simulate exactly one
  * representative with bounded total-cycle error, the Predicted mode's
  * regression model declines out-of-envelope launches (falling back to
- * detailed), results stay deterministic across sim_threads in every mode,
- * and the per-launch breakdown / stats-JSON surfaces behave.
+ * detailed), and the per-launch breakdown / stats-JSON surfaces behave.
  */
 #include <gtest/gtest.h>
 
@@ -113,7 +112,7 @@ relErr(uint64_t value, uint64_t reference)
  */
 RunResult
 runSeq(sample::TimingMode tm, const std::vector<Launch> &seq,
-       const sample::SamplingOptions &sopts = {}, unsigned threads = 1,
+       const sample::SamplingOptions &sopts = {},
        std::string *stats_json = nullptr)
 {
     unsigned max_ctas = 1, max_slice = 0;
@@ -128,7 +127,6 @@ runSeq(sample::TimingMode tm, const std::vector<Launch> &seq,
     opts.mode = cuda::SimMode::Performance;
     opts.timing_mode = tm;
     opts.sampling = sopts;
-    opts.sim_threads = threads;
     cuda::Context ctx(opts);
     ctx.loadModule(kVecAdd, "vecadd.ptx");
 
@@ -284,23 +282,6 @@ TEST(Sampling, PredictedOutOfEnvelopeFallsBackToDetailed)
     EXPECT_EQ(run.report.detailed_launches, 10u);
 }
 
-TEST(Sampling, DeterministicAcrossSimThreadsAllModes)
-{
-    const std::vector<Launch> seq = {{4, 0}, {8, 1}, {4, 1}, {8, 0}, {16, 0},
-                                     {4, 2}, {8, 2}, {16, 1}, {4, 0}, {8, 1}};
-    for (const auto tm :
-         {sample::TimingMode::Detailed, sample::TimingMode::Sampled,
-          sample::TimingMode::Predicted}) {
-        const RunResult serial = runSeq(tm, seq, {}, 1);
-        const RunResult par = runSeq(tm, seq, {}, 4);
-        expectTotalsEq(serial.totals, par.totals);
-        EXPECT_EQ(serial.elapsed, par.elapsed) << sample::timingModeName(tm);
-        EXPECT_EQ(serial.per_launch_cycles, par.per_launch_cycles);
-        EXPECT_EQ(serial.sources, par.sources);
-        EXPECT_EQ(serial.c, par.c);
-    }
-}
-
 TEST(Sampling, PerLaunchTotalsBreakdown)
 {
     // Detailed mode: one KernelRunStats window per launch, in retirement
@@ -363,8 +344,8 @@ TEST(Sampling, StatsJsonSamplingSectionOnlyInSampledModes)
 {
     const auto seq = repeatedSeq(3, 4);
     std::string det_json, smp_json;
-    runSeq(sample::TimingMode::Detailed, seq, {}, 1, &det_json);
-    runSeq(sample::TimingMode::Sampled, seq, {}, 1, &smp_json);
+    runSeq(sample::TimingMode::Detailed, seq, {}, &det_json);
+    runSeq(sample::TimingMode::Sampled, seq, {}, &smp_json);
     EXPECT_EQ(det_json.find("\"sampling\""), std::string::npos);
     EXPECT_NE(smp_json.find("\"sampling\""), std::string::npos);
     EXPECT_NE(smp_json.find("\"extrapolated_launches\": 2"),

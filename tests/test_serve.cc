@@ -214,28 +214,6 @@ TEST(Serve, DistinctConfigsGetDistinctCacheEntries)
     ts.stop();
 }
 
-TEST(Serve, SimThreadsDoesNotSplitTheCache)
-{
-    // Results are bitwise identical at any worker budget, so sim_threads is
-    // not part of the key: a 1-thread submission warms a 4-thread one.
-    const Recorded rec = recordVecadd();
-    TestServer ts;
-    serve::Client client(ts.socket());
-
-    serve::SubmitOptions one;
-    one.sim_threads = 1;
-    const auto cold = client.submit(rec.bytes, one);
-    ASSERT_EQ(cold.status, serve::Status::Ok) << cold.error;
-
-    serve::SubmitOptions four;
-    four.sim_threads = 4;
-    const auto warm = client.submit(rec.bytes, four);
-    ASSERT_EQ(warm.status, serve::Status::Ok) << warm.error;
-    EXPECT_EQ(warm.cache_hit, 1);
-    EXPECT_EQ(warm.stats_json, cold.stats_json);
-    ts.stop();
-}
-
 // ---- single-flight dedup ----
 
 TEST(Serve, ConcurrentIdenticalSubmissionsSimulateOnce)
@@ -363,6 +341,44 @@ TEST(Serve, MalformedFramesAnswerErrorsNotDeath)
         EXPECT_EQ(serve::readMsgType(r), serve::MsgType::ErrorResponse);
         EXPECT_NE(r.getString().find("not a serve message file"),
                   std::string::npos);
+    }
+
+    // A v1 request (it still carried sim_threads): the version check
+    // rejects it before the body is parsed.
+    {
+        RawConn conn(ts.socket());
+        BinaryWriter v1;
+        v1.putHeader(serve::kServeMagic, 1);
+        v1.put<uint8_t>(uint8_t(serve::MsgType::SubmitRequest));
+        v1.put<uint8_t>(0);  // priority
+        v1.put<uint8_t>(0);  // timing_mode
+        v1.put<uint32_t>(4); // sim_threads
+        serve::writeFrame(conn.fd, v1);
+        auto resp = serve::readFrame(conn.fd);
+        ASSERT_TRUE(resp.has_value());
+        BinaryReader r(std::move(*resp), "response");
+        EXPECT_EQ(serve::readMsgType(r), serve::MsgType::ErrorResponse);
+        EXPECT_NE(r.getString().find("unsupported serve message version 1"),
+                  std::string::npos);
+    }
+
+    // A corrupt daemon reply whose status byte names no Status must not
+    // reach the client as a final answer.
+    {
+        BinaryWriter reply;
+        serve::beginMsg(reply, serve::MsgType::SubmitResponse);
+        reply.put<uint8_t>(7); // status
+        reply.put<uint32_t>(0);
+        reply.putString("");
+        reply.put<uint8_t>(0);
+        reply.put<uint8_t>(0);
+        reply.put<uint64_t>(0);
+        reply.put<uint64_t>(0);
+        reply.put<double>(0.0);
+        reply.putString("");
+        BinaryReader r(reply.bytes(), "reply");
+        ASSERT_EQ(serve::readMsgType(r), serve::MsgType::SubmitResponse);
+        EXPECT_THROW(serve::SubmitResponse::decode(r), FatalError);
     }
 
     // Valid frame, corrupt trace bytes: a structured Error submission

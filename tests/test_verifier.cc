@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "blas/blas.h"
-#include "common/thread_pool.h"
 #include "cudnn/cudnn.h"
 #include "cudnn/kernels.h"
 #include "ptx/parser.h"
@@ -336,11 +335,9 @@ struct Observables
 Observables
 observeSgemm(bool check_races)
 {
-    // sgemm_tiled_nn: shared-memory tiles, barriers, 4 CTAs across a
-    // 4-worker pool — the configuration the shadow must leave untouched.
+    // sgemm_tiled_nn: shared-memory tiles, barriers and 4 CTAs — the
+    // configuration the shadow must leave untouched.
     test::MiniGpu gpu;
-    ThreadPool pool(4);
-    gpu.engine.setThreadPool(&pool);
     gpu.interp.setRaceCheck(check_races);
 
     const ptx::Module m = ptx::parseModule(blas::kBlasPtx, "libcublas_lite.ptx");
@@ -365,7 +362,7 @@ observeSgemm(bool check_races)
     return obs;
 }
 
-TEST(DynamicRace, BitwiseNeutralAtFourThreads)
+TEST(DynamicRace, BitwiseNeutral)
 {
     const Observables off = observeSgemm(false);
     const Observables on = observeSgemm(true);
@@ -406,13 +403,6 @@ TEST(PtxParser, ParseErrorCarriesLineAndColumn)
         EXPECT_NE(msg.find("broken.ptx:6:"), std::string::npos)
             << "diagnostic must name line 6, got: " << msg;
     }
-}
-
-TEST(PtxAnalysis, UsesGlobalAtomicsRequiresAnalyzedKernel)
-{
-    ptx::KernelDef k;
-    k.name = "never_analyzed";
-    EXPECT_THROW(ptx::usesGlobalAtomics(k), PanicError);
 }
 
 TEST(Verifier, DiagnosticsStableOverDiskRoundTrip)
