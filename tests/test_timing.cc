@@ -318,3 +318,34 @@ TEST(TimingTotals, PlusEqualsSumsEveryField)
 }
 
 } // namespace
+
+TEST(Timing, AerialSlotsConservedPerBucket)
+{
+    // Every scheduler slot of every core books exactly one outcome per
+    // cycle: an issue or one stall reason. More cores than CTAs keeps some
+    // cores idle for the whole run.
+    for (const auto pol : {timing::SchedPolicy::GTO, timing::SchedPolicy::LRR}) {
+        TimingFixture f;
+        timing::GpuConfig cfg;
+        cfg.num_cores = 40; // the fixture launches 32 CTAs
+        cfg.sched_policy = pol;
+        timing::GpuModel m(cfg, f.gpu.interp);
+        stats::AerialSampler sampler(16, cfg.num_cores, cfg.totalDramBanks());
+        m.runKernel(f.env, Dim3(f.n / 128), Dim3(128), &sampler);
+        sampler.finish();
+        f.checkResult();
+
+        ASSERT_FALSE(sampler.buckets().empty());
+        uint64_t idle = 0;
+        for (const auto &b : sampler.buckets()) {
+            uint64_t slots = b.instructions;
+            for (const uint64_t s : b.stalls)
+                slots += s;
+            EXPECT_EQ(slots, b.cycles * cfg.num_cores * cfg.schedulers_per_core)
+                << "bucket at cycle " << b.start_cycle;
+            idle += b.stalls[size_t(stats::StallKind::Idle)];
+        }
+        // The eight CTA-less cores idle on every cycle of the run.
+        EXPECT_GE(idle, m.totalCycles() * 8 * cfg.schedulers_per_core);
+    }
+}
