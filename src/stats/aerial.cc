@@ -42,13 +42,6 @@ AerialSampler::recordIssue(unsigned core, unsigned lanes)
 }
 
 void
-AerialSampler::recordStall(unsigned core, StallKind kind)
-{
-    (void)core;
-    current_.stalls[size_t(kind)]++;
-}
-
-void
 AerialSampler::recordBank(unsigned bank, bool transferring, bool has_pending)
 {
     if (transferring)

@@ -61,7 +61,19 @@ class AerialSampler
     void recordIssue(unsigned core, unsigned lanes);
 
     /** An issue slot on `core` produced nothing. */
-    void recordStall(unsigned core, StallKind kind);
+    void
+    recordStall(unsigned core, StallKind kind)
+    {
+        (void)core;
+        current_.stalls[size_t(kind)]++;
+    }
+
+    /** `n` issue slots (on any cores) produced nothing, all for `kind`. */
+    void
+    recordStalls(StallKind kind, uint64_t n)
+    {
+        current_.stalls[size_t(kind)] += n;
+    }
 
     /** DRAM bank status this cycle. */
     void recordBank(unsigned bank, bool transferring, bool has_pending);

@@ -8,17 +8,71 @@ namespace mlgs::timing
 using func::WarpStepResult;
 using ptx::Op;
 
+namespace
+{
+
+/** Set the scoreboard bits of an instruction's destination registers. */
+void
+markDests(std::vector<uint64_t> &bits, const ptx::Instr &ins)
+{
+    for (const int r : ins.dst_regs)
+        bits[size_t(r) / 64] |= uint64_t(1) << (unsigned(r) % 64);
+}
+
+/** Highest set bit of a non-zero mask. */
+unsigned
+topBit(uint64_t m)
+{
+    return 63u - unsigned(__builtin_clzll(m));
+}
+
+} // namespace
+
+KernelRegUse::KernelRegUse(const ptx::KernelDef &k)
+{
+    size_t nregs = k.reg_types.size();
+    pcs.resize(k.instrs.size());
+    for (size_t pc = 0; pc < k.instrs.size(); pc++) {
+        const ptx::Instr &ins = k.instrs[pc];
+        Pc &p = pcs[pc];
+        p.first = uint32_t(masks.size());
+        p.exit = ins.isExit();
+        p.mem = ins.isMemAccess();
+        auto add = [&](int r) {
+            MLGS_ASSERT(r >= 0, "negative register id in ", k.name);
+            nregs = std::max(nregs, size_t(r) + 1);
+            const uint32_t word = uint32_t(r) / 64;
+            const uint64_t bit = uint64_t(1) << (unsigned(r) % 64);
+            for (size_t i = p.first; i < masks.size(); i++)
+                if (masks[i].word == word) {
+                    masks[i].bits |= bit;
+                    return;
+                }
+            masks.push_back({word, bit});
+        };
+        for (const int r : ins.src_regs)
+            add(r);
+        for (const int r : ins.dst_regs)
+            add(r);
+        p.count = uint32_t(masks.size()) - p.first;
+    }
+    words = unsigned((nregs + 63) / 64);
+}
+
 ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
                        func::Interpreter &interp)
     : id_(id), cfg_(&cfg), interp_(&interp), l1_(cfg.l1)
 {
+    MLGS_REQUIRE(cfg.schedulers_per_core > 0 &&
+                     cfg.max_warps_per_core <= 64 * cfg.schedulers_per_core,
+                 "a warp scheduler owns at most 64 warp slots (",
+                 cfg.max_warps_per_core, " warps, ", cfg.schedulers_per_core,
+                 " schedulers)");
     cta_slots_.resize(cfg.max_ctas_per_core);
     warps_.resize(cfg.max_warps_per_core);
-    sched_rr_.assign(cfg.schedulers_per_core, 0);
-    sched_last_.assign(cfg.schedulers_per_core, -1);
-    sched_owned_.resize(cfg.schedulers_per_core);
+    sched_.resize(cfg.schedulers_per_core);
     for (unsigned slot = 0; slot < warps_.size(); slot++)
-        sched_owned_[slot % cfg.schedulers_per_core].push_back(slot);
+        sched_[slot % cfg.schedulers_per_core].size++;
 }
 
 bool
@@ -78,11 +132,13 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
         w.valid = !cs.cta->warpDone(i); // restored CTAs may have done warps
         w.cta_slot = cta_idx;
         w.warp_in_cta = i;
-        w.busy_regs.clear();
-        w.mem_dest_regs.clear();
+        w.busy.assign(disp.regs.words, 0);
+        w.mem_dest.assign(disp.regs.words, 0);
         w.pending_loads = 0;
         w.last_issue = 0;
+        updateWarp(slots[i]);
     }
+    barrier_check_ = true; // a restored CTA may resume mid-barrier
 
     used_threads_ += disp.threads_per_cta;
     used_shared_ += disp.shared_bytes_per_cta;
@@ -92,54 +148,72 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
     return true;
 }
 
-bool
-ShaderCore::warpEligible(const WarpSlot &w) const
+void
+ShaderCore::updateWarp(unsigned slot)
 {
+    const unsigned nsched = unsigned(sched_.size());
+    SchedState &sc = sched_[slot % nsched];
+    const uint64_t bit = uint64_t(1) << (slot / nsched);
+    sc.valid &= ~bit;
+    sc.eligible &= ~bit;
+    sc.hazard &= ~bit;
+    sc.pending_full &= ~bit;
+    sc.mem &= ~bit;
+
+    const WarpSlot &w = warps_[slot];
     if (!w.valid)
-        return false;
+        return;
+    sc.valid |= bit;
     const CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
-    return cs.cta && !cs.cta->warpAtBarrier(w.warp_in_cta) &&
-           !cs.cta->warpDone(w.warp_in_cta);
-}
+    if (!cs.cta->warpAtBarrier(w.warp_in_cta))
+        sc.eligible |= bit;
 
-bool
-ShaderCore::warpReady(const WarpSlot &w, stats::StallKind &why) const
-{
-    const CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
-    const ptx::KernelDef &k = *cs.disp->env->kernel;
-    const auto &st = cs.cta->stack(w.warp_in_cta);
-    const ptx::Instr &ins = k.instrs[st.pc()];
-
-    if (ins.isExit() && w.pending_loads > 0) {
-        why = stats::StallKind::DataHazard;
-        return false;
+    const KernelRegUse &ru = cs.disp->regs;
+    const KernelRegUse::Pc &u = ru.pcs[cs.cta->stack(w.warp_in_cta).pc()];
+    bool hazard = u.exit && w.pending_loads > 0;
+    for (uint32_t i = u.first; !hazard && i < u.first + u.count; i++)
+        hazard = (w.busy[ru.masks[i].word] & ru.masks[i].bits) != 0;
+    if (hazard)
+        sc.hazard |= bit;
+    if (u.mem) {
+        sc.mem |= bit;
+        if (!hazard && w.pending_loads >= cfg_->max_pending_loads_per_warp)
+            sc.pending_full |= bit;
     }
-    for (const int r : ins.src_regs)
-        if (w.busy_regs.count(r)) {
-            why = stats::StallKind::DataHazard;
-            return false;
-        }
-    for (const int r : ins.dst_regs)
-        if (w.busy_regs.count(r)) {
-            why = stats::StallKind::DataHazard;
-            return false;
-        }
-    if (ins.isMemAccess()) {
-        if (out_queue_.size() >= 256 ||
-            w.pending_loads >= cfg_->max_pending_loads_per_warp) {
-            why = stats::StallKind::MemStructural;
-            return false;
-        }
-    }
-    return true;
 }
 
 void
-ShaderCore::finishLoads(WarpSlot &w)
+ShaderCore::loadPartDone(unsigned slot)
 {
-    for (const int r : w.mem_dest_regs)
-        w.busy_regs.erase(r);
-    w.mem_dest_regs.clear();
+    WarpSlot &w = warps_[slot];
+    if (!w.valid || w.pending_loads == 0)
+        return;
+    if (--w.pending_loads == 0) {
+        // Every load of the warp has drained: release their destinations.
+        for (size_t i = 0; i < w.busy.size(); i++) {
+            w.busy[i] &= ~w.mem_dest[i];
+            w.mem_dest[i] = 0;
+        }
+    }
+    updateWarp(slot);
+}
+
+void
+ShaderCore::retire(const Writeback &wb)
+{
+    if (!wb.ins) {
+        loadPartDone(wb.warp);
+        return;
+    }
+    WarpSlot &w = warps_[wb.warp];
+    if (!w.valid)
+        return;
+    // The slot may since hold a warp of another CTA (the issuing warp
+    // exited); the writeback still clears these register ids there.
+    for (const int r : wb.ins->dst_regs)
+        if (size_t(r) / 64 < w.busy.size())
+            w.busy[size_t(r) / 64] &= ~(uint64_t(1) << (unsigned(r) % 64));
+    updateWarp(wb.warp);
 }
 
 void
@@ -193,18 +267,23 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
         MLGS_ASSERT(w.pending_loads == 0, "warp exited with loads in flight");
         cs.live_warps--;
         live_warps_total_--;
+        barrier_check_ = true; // the CTA's barrier may now be complete
         completeCtaIfDone(w.cta_slot);
         return;
     }
-    if (res.barrier)
-        return; // warp now waits; barrier release happens in cycle()
+    if (res.barrier) {
+        barrier_check_ = true; // warp now waits; release happens in cycle()
+        return;
+    }
 
     // Memory path.
     if (!res.accesses.empty()) {
         // Coalesce per-lane accesses into cache lines.
         const unsigned line = cfg_->l1.line_bytes;
-        std::vector<addr_t> lines;
-        std::vector<addr_t> store_lines;
+        std::vector<addr_t> &lines = load_lines_;
+        std::vector<addr_t> &store_lines = store_lines_;
+        lines.clear();
+        store_lines.clear();
         for (const auto &acc : res.accesses) {
             auto &list = acc.is_store ? store_lines : lines;
             const addr_t la = acc.addr & ~addr_t(line - 1);
@@ -223,7 +302,7 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
               case CacheOutcome::Hit:
                 w.pending_loads++;
                 any_load_part = true;
-                wb_pipe_.push(Writeback{slot, {}, true},
+                wb_pipe_.push(Writeback{slot, nullptr},
                               now + cfg_->l1.hit_latency);
                 break;
               case CacheOutcome::MissMerged:
@@ -268,11 +347,9 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
             out_queue_.push_back(std::move(mf));
         }
 
-        if (any_load_part && !ins.dst_regs.empty()) {
-            for (const int r : ins.dst_regs) {
-                w.busy_regs.insert(r);
-                w.mem_dest_regs.push_back(r);
-            }
+        if (any_load_part) {
+            markDests(w.busy, ins);
+            markDests(w.mem_dest, ins);
         }
         return;
     }
@@ -280,10 +357,8 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     if (res.shared_accesses > 0) {
         counters_.shared_accesses += res.shared_accesses;
         if (!ins.dst_regs.empty()) {
-            for (const int r : ins.dst_regs)
-                w.busy_regs.insert(r);
-            wb_pipe_.push(Writeback{slot, ins.dst_regs, false},
-                          now + cfg_->shared_latency);
+            markDests(w.busy, ins);
+            wb_pipe_.push(Writeback{slot, &ins}, now + cfg_->shared_latency);
         }
         return;
     }
@@ -307,101 +382,92 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
           default:
             break;
         }
-        for (const int r : ins.dst_regs)
-            w.busy_regs.insert(r);
-        wb_pipe_.push(Writeback{slot, ins.dst_regs, false}, now + lat);
+        markDests(w.busy, ins);
+        wb_pipe_.push(Writeback{slot, &ins}, now + lat);
     }
 }
 
 void
 ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
 {
-    // Fast path: nothing resident and nothing in flight.
-    if (live_warps_total_ == 0 && wb_pipe_.empty()) {
-        if (sampler)
-            for (unsigned s = 0; s < cfg_->schedulers_per_core; s++)
-                sampler->recordStall(id_, stats::StallKind::Idle);
-        return;
-    }
-
     // 1. Retire matured writebacks.
-    while (wb_pipe_.ready(now)) {
-        const Writeback wb = wb_pipe_.pop();
-        WarpSlot &w = warps_[wb.warp];
-        if (wb.load_part) {
-            if (w.valid && w.pending_loads > 0 && --w.pending_loads == 0)
-                finishLoads(w);
-        } else if (w.valid) {
-            for (const int r : wb.regs)
-                w.busy_regs.erase(r);
+    while (wb_pipe_.ready(now))
+        retire(wb_pipe_.pop());
+
+    // 2. Release completed barriers. Only an arrival, an exit or a CTA
+    //    install can complete one, and each of those sets barrier_check_.
+    if (barrier_check_) {
+        barrier_check_ = false;
+        for (auto &cs : cta_slots_) {
+            if (cs.cta && cs.cta->barrierComplete()) {
+                cs.cta->releaseBarrier();
+                for (const unsigned slot : cs.warp_slots)
+                    updateWarp(slot);
+            }
         }
     }
-
-    // 2. Release completed barriers.
-    for (auto &cs : cta_slots_)
-        if (cs.cta && cs.cta->barrierComplete())
-            cs.cta->releaseBarrier();
 
     // 3. Schedulers issue.
-    const unsigned nsched = cfg_->schedulers_per_core;
+    const bool gto = cfg_->sched_policy == SchedPolicy::GTO;
+    const unsigned nsched = unsigned(sched_.size());
     for (unsigned s = 0; s < nsched; s++) {
-        int chosen = -1;
-        stats::StallKind why = stats::StallKind::DataHazard;
-        bool any_valid = false, any_eligible = false;
-        const auto &owned = sched_owned_[s];
+        SchedState &sc = sched_[s];
+        // The outgoing queue is shared, so an earlier scheduler's issue
+        // this cycle can fill it.
+        const uint64_t blocked = sc.hazard | sc.pending_full |
+                                 (out_queue_.size() >= 256 ? sc.mem : 0);
+        const uint64_t ready = sc.eligible & ~blocked;
 
-        auto ready = [&](unsigned slot) -> bool {
-            const WarpSlot &w = warps_[slot];
-            if (!w.valid)
-                return false;
-            any_valid = true;
-            if (!warpEligible(w))
-                return false;
-            any_eligible = true;
-            stats::StallKind w_why = stats::StallKind::DataHazard;
-            if (warpReady(w, w_why))
-                return true;
-            why = w_why;
-            return false;
-        };
-
-        if (cfg_->sched_policy == SchedPolicy::GTO) {
-            // Greedy: stay on the last-issued warp while it is ready...
-            if (sched_last_[s] >= 0 && ready(unsigned(sched_last_[s])))
-                chosen = sched_last_[s];
-            // ...then fall back to the oldest (smallest last-issue) ready warp.
-            if (chosen < 0) {
-                cycle_t best = ~cycle_t(0);
-                for (const unsigned slot : owned) {
-                    if (warps_[slot].valid && warps_[slot].last_issue < best &&
-                        ready(slot)) {
-                        best = warps_[slot].last_issue;
-                        chosen = int(slot);
+        if (ready) {
+            unsigned chosen = 0;
+            if (gto) {
+                // Greedy: stay on the last-issued warp while it is ready,
+                // else take the oldest (smallest last-issue) ready warp.
+                if (sc.last >= 0 && (ready >> (unsigned(sc.last) / nsched)) & 1) {
+                    chosen = unsigned(sc.last);
+                } else {
+                    cycle_t best = ~cycle_t(0);
+                    for (uint64_t m = ready; m; m &= m - 1) {
+                        const unsigned slot =
+                            unsigned(__builtin_ctzll(m)) * nsched + s;
+                        if (warps_[slot].last_issue < best) {
+                            best = warps_[slot].last_issue;
+                            chosen = slot;
+                        }
                     }
                 }
+            } else {
+                // Loose round robin: first ready warp from the rotate point.
+                const unsigned start = sc.rr % sc.size;
+                const uint64_t from_start = ready & (~uint64_t(0) << start);
+                const unsigned i =
+                    unsigned(__builtin_ctzll(from_start ? from_start : ready));
+                chosen = i * nsched + s;
+                sc.rr = (i + 1) % sc.size;
             }
-        } else if (!owned.empty()) {
-            const unsigned start = sched_rr_[s] % unsigned(owned.size());
-            for (size_t i = 0; i < owned.size(); i++) {
-                const unsigned slot = owned[(start + i) % owned.size()];
-                if (ready(slot)) {
-                    chosen = int(slot);
-                    sched_rr_[s] = unsigned((start + i + 1) % owned.size());
-                    break;
-                }
-            }
-        }
-
-        if (chosen >= 0) {
-            sched_last_[s] = chosen;
-            issueWarp(unsigned(chosen), now, sampler);
+            sc.last = int(chosen);
+            issueWarp(chosen, now, sampler);
+            updateWarp(chosen);
         } else if (sampler) {
-            if (!any_valid)
-                sampler->recordStall(id_, stats::StallKind::Idle);
-            else if (!any_eligible)
-                sampler->recordStall(id_, stats::StallKind::Barrier);
-            else
-                sampler->recordStall(id_, why);
+            // The reason reported is that of the last eligible warp in the
+            // policy's scan order: slot order for GTO, the rotation ending
+            // just before the rotate point for LRR.
+            stats::StallKind why = stats::StallKind::Idle;
+            if (sc.valid && !sc.eligible) {
+                why = stats::StallKind::Barrier;
+            } else if (sc.eligible) {
+                uint64_t order = sc.eligible;
+                if (!gto) {
+                    const uint64_t before =
+                        sc.eligible & ((uint64_t(1) << (sc.rr % sc.size)) - 1);
+                    if (before)
+                        order = before;
+                }
+                why = (sc.hazard >> topBit(order)) & 1
+                          ? stats::StallKind::DataHazard
+                          : stats::StallKind::MemStructural;
+            }
+            sampler->recordStall(id_, why);
         }
     }
 }
@@ -411,18 +477,12 @@ ShaderCore::pushResponse(const MemFetch &mf, cycle_t now)
 {
     l1_.fill(mf.line_addr, now);
 
-    auto wake = [&](unsigned slot) {
-        WarpSlot &w = warps_[slot];
-        if (w.valid && w.pending_loads > 0 && --w.pending_loads == 0)
-            finishLoads(w);
-    };
-
     if (mf.warp_slot >= 0)
-        wake(unsigned(mf.warp_slot));
+        loadPartDone(unsigned(mf.warp_slot));
     const auto it = l1_waiters_.find(mf.line_addr);
     if (it != l1_waiters_.end()) {
         for (const unsigned slot : it->second)
-            wake(slot);
+            loadPartDone(slot);
         l1_waiters_.erase(it);
     }
 }

@@ -3,13 +3,17 @@
  * Cycle-level SIMT core ("shader core" / SM): warp schedulers with a
  * scoreboard, functional execution at issue (GPGPU-Sim style), an L1 data
  * cache with MSHR merging, and CTA occupancy management.
+ *
+ * Readiness is event-driven: each warp's blocked state is cached in
+ * per-scheduler bitmasks and recomputed only when something that can change
+ * it touches the warp (issue, writeback retire, load completion, barrier
+ * release), so a scheduler with no ready warp costs O(1) per cycle.
  */
 #ifndef MLGS_TIMING_CORE_H
 #define MLGS_TIMING_CORE_H
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "func/engine.h"
 #include "stats/aerial.h"
@@ -18,6 +22,35 @@
 
 namespace mlgs::timing
 {
+
+/**
+ * Scoreboard view of a kernel, resolved once per launch: for every pc, the
+ * register-file words its source and destination registers touch (a warp
+ * may issue it only when none of those bits is busy), in the spirit of
+ * per-operand read/write access bits.
+ */
+struct KernelRegUse
+{
+    struct WordMask
+    {
+        uint32_t word = 0;
+        uint64_t bits = 0;
+    };
+    struct Pc
+    {
+        uint32_t first = 0; ///< index of its first entry in `masks`
+        uint32_t count = 0;
+        bool exit = false;
+        bool mem = false;
+    };
+
+    std::vector<Pc> pcs;
+    std::vector<WordMask> masks;
+    unsigned words = 0; ///< bitmap words per warp (from KernelDef::reg_types)
+
+    KernelRegUse() = default;
+    explicit KernelRegUse(const ptx::KernelDef &k);
+};
 
 /** Shared, per-launch dispatch state (which CTA goes next, completion). */
 struct KernelDispatch
@@ -31,6 +64,7 @@ struct KernelDispatch
     uint64_t total_ctas = 0;
     uint64_t next_cta = 0;      ///< next linear CTA id to install
     uint64_t completed_ctas = 0;
+    KernelRegUse regs;
 
     /**
      * Checkpoint resume: pre-initialized (possibly mid-execution) CTA states
@@ -64,8 +98,15 @@ class ShaderCore
     /** Try to claim and install the dispatch's next CTA; true on success. */
     bool tryIssueCta(KernelDispatch &disp);
 
-    /** One core cycle: barrier release, scheduling, issue. */
+    /**
+     * One core cycle: writeback retire, barrier release, scheduling, issue.
+     * A quiet() core need not be stepped: it would only book an Idle stall
+     * on each scheduler.
+     */
     void cycle(cycle_t now, stats::AerialSampler *sampler);
+
+    /** No live warps and no writeback in flight. */
+    bool quiet() const { return live_warps_total_ == 0 && wb_pipe_.empty(); }
 
     /** Memory response delivered from the interconnect. */
     void pushResponse(const MemFetch &mf, cycle_t now);
@@ -97,24 +138,45 @@ class ShaderCore
         bool valid = false;
         int cta_slot = -1;
         unsigned warp_in_cta = 0;
-        std::unordered_set<int> busy_regs;     ///< scoreboard
-        std::vector<int> mem_dest_regs;        ///< released when loads drain
+        std::vector<uint64_t> busy;     ///< scoreboard bitmap, bit = register
+        std::vector<uint64_t> mem_dest; ///< busy bits released when loads drain
         unsigned pending_loads = 0;
         cycle_t last_issue = 0;
     };
 
-    /** Delayed register writeback (fixed-latency pipelines + L1 hits). */
+    /**
+     * Delayed register writeback (fixed-latency pipelines + L1 hits). The
+     * instruction outlives the writeback: kernels stay loaded while the
+     * model runs.
+     */
     struct Writeback
     {
         unsigned warp = 0;
-        std::vector<int> regs;
-        bool load_part = false; ///< decrements pending_loads instead
+        const ptx::Instr *ins = nullptr; ///< nullptr: one part of a load
     };
 
-    bool warpEligible(const WarpSlot &w) const;
-    bool warpReady(const WarpSlot &w, stats::StallKind &why) const;
+    /**
+     * Cached readiness of one scheduler's warps; bit i is the warp in slot
+     * i * schedulers_per_core + s. A warp is ready when eligible and in none
+     * of hazard / pending_full, and not `mem` while the outgoing queue is
+     * full.
+     */
+    struct SchedState
+    {
+        uint64_t valid = 0;
+        uint64_t eligible = 0;     ///< valid and not waiting at a barrier
+        uint64_t hazard = 0;       ///< DataHazard: scoreboard, or exit with loads
+        uint64_t pending_full = 0; ///< memory op at the pending-load limit
+        uint64_t mem = 0;          ///< next instruction is a memory access
+        unsigned size = 0;         ///< warp slots this scheduler owns
+        unsigned rr = 0;           ///< LRR rotate position
+        int last = -1;             ///< GTO sticky warp slot
+    };
+
+    void updateWarp(unsigned slot);
     void issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler);
-    void finishLoads(WarpSlot &w);
+    void retire(const Writeback &wb);
+    void loadPartDone(unsigned slot);
     void completeCtaIfDone(int cta_slot);
 
     unsigned id_;
@@ -124,9 +186,8 @@ class ShaderCore
 
     std::vector<CtaSlot> cta_slots_;
     std::vector<WarpSlot> warps_;
-    std::vector<unsigned> sched_rr_; ///< LRR rotate position per scheduler
-    std::vector<int> sched_last_;    ///< GTO sticky warp per scheduler
-    std::vector<std::vector<unsigned>> sched_owned_; ///< warp slots per sched
+    std::vector<SchedState> sched_;
+    bool barrier_check_ = false; ///< a warp arrived, exited or was installed
 
     unsigned used_threads_ = 0;
     unsigned used_shared_ = 0;
@@ -137,6 +198,7 @@ class ShaderCore
     std::deque<MemFetch> out_queue_;
     std::unordered_map<addr_t, std::vector<unsigned>> l1_waiters_;
     uint64_t next_fetch_id_ = 0;
+    std::vector<addr_t> load_lines_, store_lines_; ///< issueWarp scratch
 
     CoreCounters counters_;
 };

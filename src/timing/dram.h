@@ -40,6 +40,12 @@ class DramChannel
 
     unsigned numBanks() const { return unsigned(banks_.size()); }
 
+    /**
+     * Nothing queued and the data bus free: no bank is pending, and none is
+     * transferring (every bank's transfer window ends by bus_free_).
+     */
+    bool quiet(cycle_t now) const { return queue_.empty() && now >= bus_free_; }
+
     /** Bank status sampled each cycle by the GPU top level. */
     bool bankTransferring(unsigned bank, cycle_t now) const;
     bool bankPending(unsigned bank) const;

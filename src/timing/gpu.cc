@@ -63,14 +63,23 @@ void
 GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
 {
     // 1. Shader cores (issue + writeback). Cores are independent within a
-    //    cycle, so each one's activity is sampled just before it steps.
+    //    cycle, so each one's activity is sampled just before it steps. A
+    //    quiet core is not stepped; its schedulers' Idle slots are booked in
+    //    one bulk add.
+    uint64_t quiet = 0;
     for (auto &core : cores_) {
         if (core->liveWarps())
             totals_.core_active_cycles++;
         else
             totals_.core_idle_cycles++;
-        core->cycle(now, sampler);
+        if (core->quiet())
+            quiet++;
+        else
+            core->cycle(now, sampler);
     }
+    if (sampler && quiet)
+        sampler->recordStalls(stats::StallKind::Idle,
+                              quiet * cfg_.schedulers_per_core);
 
     // 2. Core -> interconnect (all outgoing requests enter the crossbar;
     //    per-partition acceptance below models the bandwidth limit).
@@ -92,9 +101,13 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
         partitions_[mf.partition]->pushRequest(std::move(mf));
     }
 
-    // 4. Partitions (L2 + DRAM), response collection, bank sampling.
+    // 4. Partitions (L2 + DRAM), response collection, bank sampling. An idle
+    //    partition's step is a no-op, and a quiet channel's banks are
+    //    neither pending nor transferring, so sampling them adds nothing.
     for (unsigned p = 0; p < partitions_.size(); p++) {
         MemPartition &part = *partitions_[p];
+        if (!part.busy())
+            continue;
         part.cycle(now);
         unsigned moved = 0;
         while (part.hasResponse() && moved < 2) {
@@ -103,8 +116,8 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
             to_core_.push(std::move(mf), now + cfg_.icnt_latency);
             moved++;
         }
-        if (sampler) {
-            const DramChannel &dram = part.dram();
+        const DramChannel &dram = part.dram();
+        if (sampler && !dram.quiet(now)) {
             for (unsigned b = 0; b < cfg_.dram_banks; b++)
                 sampler->recordBank(p * cfg_.dram_banks + b,
                                     dram.bankTransferring(b, now),
@@ -191,6 +204,7 @@ GpuModel::beginKernel(const func::LaunchEnv &env, const Dim3 &grid,
     disp.completed_ctas = disp.next_cta;
     disp.preload_base = skip_ctas;
     disp.preloaded = std::move(preloaded);
+    disp.regs = KernelRegUse(*env.kernel);
 
     MLGS_REQUIRE(disp.threads_per_cta <= cfg_.max_threads_per_core,
                  "CTA larger than a core's thread capacity");
