@@ -71,8 +71,29 @@ ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
     cta_slots_.resize(cfg.max_ctas_per_core);
     warps_.resize(cfg.max_warps_per_core);
     sched_.resize(cfg.schedulers_per_core);
-    for (unsigned slot = 0; slot < warps_.size(); slot++)
-        sched_[slot % cfg.schedulers_per_core].size++;
+    for (unsigned slot = 0; slot < warps_.size(); slot++) {
+        WarpSlot &w = warps_[slot];
+        w.sched = slot % cfg.schedulers_per_core;
+        w.bit = uint64_t(1) << sched_[w.sched].size++;
+    }
+
+    const unsigned max_latency =
+        std::max({cfg.alu_latency, cfg.sfu_latency * 2, cfg.shared_latency,
+                  cfg.l1.hit_latency});
+    size_t wheel = 1;
+    while (wheel <= max_latency)
+        wheel *= 2;
+    wb_wheel_.resize(wheel);
+}
+
+void
+ShaderCore::pushWriteback(const Writeback &wb, cycle_t now, cycle_t ready_at)
+{
+    // Pushed during cycle `now`, a writeback retires at the earliest in the
+    // next cycle's retire step.
+    const cycle_t at = std::max(ready_at, now + 1);
+    wb_wheel_[at & (wb_wheel_.size() - 1)].push_back(wb);
+    wb_count_++;
 }
 
 bool
@@ -136,6 +157,7 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
         w.mem_dest.assign(disp.regs.words, 0);
         w.pending_loads = 0;
         w.last_issue = 0;
+        w.regs = &disp.regs;
         updateWarp(slots[i]);
     }
     barrier_check_ = true; // a restored CTA may resume mid-barrier
@@ -151,35 +173,39 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
 void
 ShaderCore::updateWarp(unsigned slot)
 {
-    const unsigned nsched = unsigned(sched_.size());
-    SchedState &sc = sched_[slot % nsched];
-    const uint64_t bit = uint64_t(1) << (slot / nsched);
-    sc.valid &= ~bit;
-    sc.eligible &= ~bit;
-    sc.hazard &= ~bit;
-    sc.pending_full &= ~bit;
-    sc.mem &= ~bit;
-
-    const WarpSlot &w = warps_[slot];
-    if (!w.valid)
+    WarpSlot &w = warps_[slot];
+    SchedState &sc = sched_[w.sched];
+    sc.valid &= ~w.bit;
+    sc.eligible &= ~w.bit;
+    sc.mem &= ~w.bit;
+    if (!w.valid) {
+        sc.hazard &= ~w.bit;
+        sc.pending_full &= ~w.bit;
         return;
-    sc.valid |= bit;
-    const CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
-    if (!cs.cta->warpAtBarrier(w.warp_in_cta))
-        sc.eligible |= bit;
-
-    const KernelRegUse &ru = cs.disp->regs;
-    const KernelRegUse::Pc &u = ru.pcs[cs.cta->stack(w.warp_in_cta).pc()];
-    bool hazard = u.exit && w.pending_loads > 0;
-    for (uint32_t i = u.first; !hazard && i < u.first + u.count; i++)
-        hazard = (w.busy[ru.masks[i].word] & ru.masks[i].bits) != 0;
-    if (hazard)
-        sc.hazard |= bit;
-    if (u.mem) {
-        sc.mem |= bit;
-        if (!hazard && w.pending_loads >= cfg_->max_pending_loads_per_warp)
-            sc.pending_full |= bit;
     }
+    sc.valid |= w.bit;
+    const func::CtaExec &cta = *cta_slots_[size_t(w.cta_slot)].cta;
+    if (!cta.warpAtBarrier(w.warp_in_cta))
+        sc.eligible |= w.bit;
+    w.next = &w.regs->pcs[cta.stack(w.warp_in_cta).pc()];
+    if (w.next->mem)
+        sc.mem |= w.bit;
+    updateHazard(w);
+}
+
+void
+ShaderCore::updateHazard(const WarpSlot &w)
+{
+    SchedState &sc = sched_[w.sched];
+    const KernelRegUse::Pc &u = *w.next;
+    bool hazard = u.exit && w.pending_loads > 0;
+    const KernelRegUse::WordMask *m = w.regs->masks.data() + u.first;
+    for (uint32_t i = 0; !hazard && i < u.count; i++)
+        hazard = (w.busy[m[i].word] & m[i].bits) != 0;
+    const bool full = !hazard && u.mem &&
+                      w.pending_loads >= cfg_->max_pending_loads_per_warp;
+    sc.hazard = hazard ? sc.hazard | w.bit : sc.hazard & ~w.bit;
+    sc.pending_full = full ? sc.pending_full | w.bit : sc.pending_full & ~w.bit;
 }
 
 void
@@ -195,7 +221,10 @@ ShaderCore::loadPartDone(unsigned slot)
             w.mem_dest[i] = 0;
         }
     }
-    updateWarp(slot);
+    // Fewer pending loads and fewer busy bits can only lift a block.
+    const SchedState &sc = sched_[w.sched];
+    if ((sc.hazard | sc.pending_full) & w.bit)
+        updateHazard(w);
 }
 
 void
@@ -213,7 +242,9 @@ ShaderCore::retire(const Writeback &wb)
     for (const int r : wb.ins->dst_regs)
         if (size_t(r) / 64 < w.busy.size())
             w.busy[size_t(r) / 64] &= ~(uint64_t(1) << (unsigned(r) % 64));
-    updateWarp(wb.warp);
+    // Clearing scoreboard bits can only lift a data hazard.
+    if (sched_[w.sched].hazard & w.bit)
+        updateHazard(w);
 }
 
 void
@@ -302,7 +333,7 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
               case CacheOutcome::Hit:
                 w.pending_loads++;
                 any_load_part = true;
-                wb_pipe_.push(Writeback{slot, nullptr},
+                pushWriteback(Writeback{slot, nullptr}, now,
                               now + cfg_->l1.hit_latency);
                 break;
               case CacheOutcome::MissMerged:
@@ -358,7 +389,8 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
         counters_.shared_accesses += res.shared_accesses;
         if (!ins.dst_regs.empty()) {
             markDests(w.busy, ins);
-            wb_pipe_.push(Writeback{slot, &ins}, now + cfg_->shared_latency);
+            pushWriteback(Writeback{slot, &ins}, now,
+                          now + cfg_->shared_latency);
         }
         return;
     }
@@ -383,7 +415,7 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
             break;
         }
         markDests(w.busy, ins);
-        wb_pipe_.push(Writeback{slot, &ins}, now + lat);
+        pushWriteback(Writeback{slot, &ins}, now, now + lat);
     }
 }
 
@@ -391,8 +423,13 @@ void
 ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
 {
     // 1. Retire matured writebacks.
-    while (wb_pipe_.ready(now))
-        retire(wb_pipe_.pop());
+    if (wb_count_) {
+        auto &due = wb_wheel_[now & (wb_wheel_.size() - 1)];
+        for (const Writeback &wb : due)
+            retire(wb);
+        wb_count_ -= due.size();
+        due.clear();
+    }
 
     // 2. Release completed barriers. Only an arrival, an exit or a CTA
     //    install can complete one, and each of those sets barrier_check_.
@@ -419,20 +456,20 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
         const uint64_t ready = sc.eligible & ~blocked;
 
         if (ready) {
-            unsigned chosen = 0;
+            unsigned chosen = 0; // bit index
             if (gto) {
                 // Greedy: stay on the last-issued warp while it is ready,
                 // else take the oldest (smallest last-issue) ready warp.
-                if (sc.last >= 0 && (ready >> (unsigned(sc.last) / nsched)) & 1) {
+                if (sc.last >= 0 && (ready >> sc.last) & 1) {
                     chosen = unsigned(sc.last);
                 } else {
                     cycle_t best = ~cycle_t(0);
                     for (uint64_t m = ready; m; m &= m - 1) {
-                        const unsigned slot =
-                            unsigned(__builtin_ctzll(m)) * nsched + s;
-                        if (warps_[slot].last_issue < best) {
-                            best = warps_[slot].last_issue;
-                            chosen = slot;
+                        const unsigned i = unsigned(__builtin_ctzll(m));
+                        const cycle_t issued = warps_[i * nsched + s].last_issue;
+                        if (issued < best) {
+                            best = issued;
+                            chosen = i;
                         }
                     }
                 }
@@ -440,14 +477,14 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
                 // Loose round robin: first ready warp from the rotate point.
                 const unsigned start = sc.rr % sc.size;
                 const uint64_t from_start = ready & (~uint64_t(0) << start);
-                const unsigned i =
+                chosen =
                     unsigned(__builtin_ctzll(from_start ? from_start : ready));
-                chosen = i * nsched + s;
-                sc.rr = (i + 1) % sc.size;
+                sc.rr = (chosen + 1) % sc.size;
             }
             sc.last = int(chosen);
-            issueWarp(chosen, now, sampler);
-            updateWarp(chosen);
+            const unsigned slot = chosen * nsched + s;
+            issueWarp(slot, now, sampler);
+            updateWarp(slot);
         } else if (sampler) {
             // The reason reported is that of the last eligible warp in the
             // policy's scan order: slot order for GTO, the rotation ending
@@ -498,7 +535,7 @@ ShaderCore::popOutgoing()
 bool
 ShaderCore::busy() const
 {
-    return live_warps_total_ > 0 || !out_queue_.empty() || !wb_pipe_.empty();
+    return live_warps_total_ > 0 || !out_queue_.empty() || wb_count_ > 0;
 }
 
 } // namespace mlgs::timing

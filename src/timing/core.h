@@ -106,7 +106,7 @@ class ShaderCore
     void cycle(cycle_t now, stats::AerialSampler *sampler);
 
     /** No live warps and no writeback in flight. */
-    bool quiet() const { return live_warps_total_ == 0 && wb_pipe_.empty(); }
+    bool quiet() const { return live_warps_total_ == 0 && wb_count_ == 0; }
 
     /** Memory response delivered from the interconnect. */
     void pushResponse(const MemFetch &mf, cycle_t now);
@@ -142,6 +142,10 @@ class ShaderCore
         std::vector<uint64_t> mem_dest; ///< busy bits released when loads drain
         unsigned pending_loads = 0;
         cycle_t last_issue = 0;
+        unsigned sched = 0; ///< owning scheduler (fixed per slot)
+        uint64_t bit = 0;   ///< the slot's bit in that scheduler's masks
+        const KernelRegUse *regs = nullptr;
+        const KernelRegUse::Pc *next = nullptr; ///< entry of the next pc
     };
 
     /**
@@ -170,10 +174,14 @@ class ShaderCore
         uint64_t mem = 0;          ///< next instruction is a memory access
         unsigned size = 0;         ///< warp slots this scheduler owns
         unsigned rr = 0;           ///< LRR rotate position
-        int last = -1;             ///< GTO sticky warp slot
+        int last = -1;             ///< GTO sticky warp (bit index)
     };
 
+    /** Recompute every cached bit of a warp (its pc or state changed). */
     void updateWarp(unsigned slot);
+    /** Recompute only the hazard and pending-load bits (pc unchanged). */
+    void updateHazard(const WarpSlot &w);
+    void pushWriteback(const Writeback &wb, cycle_t now, cycle_t ready_at);
     void issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler);
     void retire(const Writeback &wb);
     void loadPartDone(unsigned slot);
@@ -194,7 +202,15 @@ class ShaderCore
     unsigned used_ctas_ = 0;
     unsigned live_warps_total_ = 0;
 
-    PqDelayQueue<Writeback> wb_pipe_;
+    /**
+     * Writebacks by retire cycle: wb_wheel_[c % size] holds those due at c.
+     * A core with writebacks in flight is stepped every cycle, and every
+     * latency is below the wheel size, so each slot is drained on time.
+     * Retire order within a cycle does not matter: retires only clear bits
+     * and count down loads.
+     */
+    std::vector<std::vector<Writeback>> wb_wheel_;
+    size_t wb_count_ = 0;
     std::deque<MemFetch> out_queue_;
     std::unordered_map<addr_t, std::vector<unsigned>> l1_waiters_;
     uint64_t next_fetch_id_ = 0;

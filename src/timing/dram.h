@@ -75,13 +75,22 @@ class DramChannel
         cycle_t transfer_until = 0;
     };
 
+    /** A queued request with its address mapping resolved at push. */
+    struct Queued
+    {
+        MemFetch mf;
+        unsigned bank = 0;
+        uint64_t row = 0;
+    };
+
     const GpuConfig *cfg_;
     unsigned partition_id_;
     std::vector<Bank> banks_;
     std::vector<unsigned> pending_per_bank_;
-    std::deque<MemFetch> queue_;
+    std::deque<Queued> queue_;
     DelayQueue<MemFetch> done_;
     cycle_t bus_free_ = 0;
+    cycle_t retry_at_ = 0; ///< no request can issue before this cycle
     unsigned inflight_ = 0;
 
     uint64_t row_hits_ = 0;

@@ -62,10 +62,11 @@ GpuModel::anythingInFlight() const
 void
 GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
 {
-    // 1. Shader cores (issue + writeback). Cores are independent within a
-    //    cycle, so each one's activity is sampled just before it steps. A
-    //    quiet core is not stepped; its schedulers' Idle slots are booked in
-    //    one bulk add.
+    // 1. Shader cores (issue + writeback), then each core's outgoing
+    //    requests enter the crossbar (per-partition acceptance below models
+    //    the bandwidth limit). Cores are independent within a cycle, so each
+    //    one's activity is sampled just before it steps. A quiet core is not
+    //    stepped; its schedulers' Idle slots are booked in one bulk add.
     uint64_t quiet = 0;
     for (auto &core : cores_) {
         if (core->liveWarps())
@@ -76,14 +77,7 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
             quiet++;
         else
             core->cycle(now, sampler);
-    }
-    if (sampler && quiet)
-        sampler->recordStalls(stats::StallKind::Idle,
-                              quiet * cfg_.schedulers_per_core);
 
-    // 2. Core -> interconnect (all outgoing requests enter the crossbar;
-    //    per-partition acceptance below models the bandwidth limit).
-    for (auto &core : cores_) {
         unsigned moved = 0;
         while (core->hasOutgoing() && moved < 2) {
             MemFetch mf = core->popOutgoing();
@@ -94,14 +88,17 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
             moved++;
         }
     }
+    if (sampler && quiet)
+        sampler->recordStalls(stats::StallKind::Idle,
+                              quiet * cfg_.schedulers_per_core);
 
-    // 3. Interconnect -> partitions.
+    // 2. Interconnect -> partitions.
     while (to_partition_.ready(now)) {
         MemFetch mf = to_partition_.pop();
         partitions_[mf.partition]->pushRequest(std::move(mf));
     }
 
-    // 4. Partitions (L2 + DRAM), response collection, bank sampling. An idle
+    // 3. Partitions (L2 + DRAM), response collection, bank sampling. An idle
     //    partition's step is a no-op, and a quiet channel's banks are
     //    neither pending nor transferring, so sampling them adds nothing.
     for (unsigned p = 0; p < partitions_.size(); p++) {
@@ -125,7 +122,7 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
         }
     }
 
-    // 5. Interconnect -> cores.
+    // 4. Interconnect -> cores.
     while (to_core_.ready(now)) {
         const MemFetch mf = to_core_.pop();
         cores_[mf.core_id]->pushResponse(mf, now);
@@ -326,25 +323,23 @@ GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
 
         // Fully idle gap: every resident kernel is still waiting for its
         // start time — jump the clock instead of simulating empty cycles.
-        if (!anythingInFlight()) {
-            bool any_started = false;
-            cycle_t next_start = kNoDeadline;
-            for (const auto &ak : active_) {
-                if (ak->started)
-                    any_started = true;
-                else
-                    next_start = std::min(next_start, ak->not_before);
-            }
-            if (!any_started && next_start > clock_) {
-                if (next_start > limit) {
-                    clock_ = limit;
-                    last_progress_clock_ = clock_;
-                    return std::nullopt;
-                }
-                clock_ = next_start;
+        bool any_started = false;
+        cycle_t next_start = kNoDeadline;
+        for (const auto &ak : active_) {
+            if (ak->started)
+                any_started = true;
+            else
+                next_start = std::min(next_start, ak->not_before);
+        }
+        if (!any_started && next_start > clock_ && !anythingInFlight()) {
+            if (next_start > limit) {
+                clock_ = limit;
                 last_progress_clock_ = clock_;
-                continue;
+                return std::nullopt;
             }
+            clock_ = next_start;
+            last_progress_clock_ = clock_;
+            continue;
         }
 
         if (clock_ >= limit)
