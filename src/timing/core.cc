@@ -77,6 +77,7 @@ ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
         w.bit = uint64_t(1) << sched_[w.sched].size++;
     }
 
+    // The longest writeback latency issueWarp charges (integer div: 2x SFU).
     const unsigned max_latency =
         std::max({cfg.alu_latency, cfg.sfu_latency * 2, cfg.shared_latency,
                   cfg.l1.hit_latency});
@@ -92,6 +93,8 @@ ShaderCore::pushWriteback(const Writeback &wb, cycle_t now, cycle_t ready_at)
     // Pushed during cycle `now`, a writeback retires at the earliest in the
     // next cycle's retire step.
     const cycle_t at = std::max(ready_at, now + 1);
+    MLGS_ASSERT(at - now <= wb_wheel_.size(), "writeback latency ",
+                at - now, " exceeds the wheel");
     wb_wheel_[at & (wb_wheel_.size() - 1)].push_back(wb);
     wb_count_++;
 }
