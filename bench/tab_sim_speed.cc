@@ -5,14 +5,15 @@
  * user fast-forward functionally and pay the detailed-model cost only for
  * the region of interest. Also emits BENCH_sim_speed.json — a
  * machine-readable record of simulator throughput (kernels/sec,
- * warp-instrs/sec, wall-clock) in functional and performance mode, so the
- * perf trajectory is tracked across PRs.
+ * warp-instrs/sec, thread CPU seconds) in functional and performance mode,
+ * so the perf trajectory is tracked across changes.
  */
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <ctime>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "chkpt/checkpoint.h"
@@ -190,46 +191,81 @@ BENCHMARK(BM_FullPerformanceRun)->Unit(benchmark::kMillisecond);
 
 // ---- machine-readable sim-speed records ----
 
+/**
+ * Interleaved trials per record. A trial times a fixed number of workload
+ * runs of each leg back to back, so both legs of a trial share host
+ * conditions; the record keeps the median trial and the trials' range.
+ */
+constexpr int kTrials = 7;
+
+/** CPU seconds of the calling thread (the simulator runs on it). */
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
 /** One timed configuration of the conv workload. */
 struct SpeedPoint
 {
     const char *label;
     cuda::SimMode mode;
     func::ExecMode exec;
-    double wall_seconds = 1e300; ///< best of 3
+    int runs_per_trial; ///< fixed work per trial, sized to ~1 s or more
+    std::vector<double> run_seconds{}; ///< CPU seconds per run, per trial
     WorkloadCounts counts{};
+
+    /** Run the leg's fixed work once; CPU seconds per workload run. */
+    double
+    trial()
+    {
+        const double t0 = threadCpuSeconds();
+        for (int r = 0; r < runs_per_trial; r++)
+            counts = runConvWorkload(mode, exec);
+        run_seconds.push_back((threadCpuSeconds() - t0) / runs_per_trial);
+        return run_seconds.back();
+    }
+
+    double seconds() const { return median(run_seconds); }
 
     double
     instrsPerSec() const
     {
-        return double(counts.warp_instructions) / wall_seconds;
+        return double(counts.warp_instructions) / seconds();
     }
 };
 
-void
-measure(SpeedPoint &pt)
-{
-    for (int rep = 0; rep < 3; rep++) {
-        const auto t0 = std::chrono::steady_clock::now();
-        pt.counts = runConvWorkload(pt.mode, pt.exec);
-        const auto t1 = std::chrono::steady_clock::now();
-        pt.wall_seconds = std::min(
-            pt.wall_seconds, std::chrono::duration<double>(t1 - t0).count());
-    }
-}
-
 /**
- * Time `base` and `other`, then write `path`: the build stamp, one row per
- * point (`label_key` names what the rows vary) and `ratio_key`, other's
- * warp-instrs/sec over base's.
+ * Time `base` and `other` in kTrials interleaved trials, then write `path`:
+ * the build stamp, one row per point (`label_key` names what the rows vary)
+ * and `ratio_key`, other's warp-instrs/sec over base's (the median of the
+ * per-trial ratios), with the trials' range beside it.
  */
 void
 writeSpeedJson(const char *path, const char *workload, const char *label_key,
                SpeedPoint base, SpeedPoint other, const char *ratio_key)
 {
-    measure(base);
-    measure(other);
-    const double ratio = other.instrsPerSec() / base.instrsPerSec();
+    base.trial(); // warm-up: kernels parsed and lowered, caches touched
+    other.trial();
+    base.run_seconds.clear();
+    other.run_seconds.clear();
+    std::vector<double> ratios;
+    for (int t = 0; t < kTrials; t++) {
+        const double b = base.trial();
+        const double o = other.trial();
+        ratios.push_back(b / o); // same work: the seconds give the ratio
+    }
+    const double ratio = median(ratios);
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
 
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -239,24 +275,28 @@ writeSpeedJson(const char *path, const char *workload, const char *label_key,
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"build_meta\": %s,\n", buildMetaJson().c_str());
     std::fprintf(f, "  \"workload\": \"%s\",\n", workload);
+    std::fprintf(f, "  \"trials\": %d,\n", kTrials);
     std::fprintf(f, "  \"runs\": [\n");
     for (const SpeedPoint *pt : {&base, &other}) {
         std::fprintf(f,
-                     "    {\"%s\": \"%s\", \"wall_seconds\": %.6f, "
+                     "    {\"%s\": \"%s\", \"runs_per_trial\": %d, "
+                     "\"cpu_seconds\": %.6f, "
                      "\"kernels\": %llu, \"kernels_per_sec\": %.2f, "
                      "\"warp_instructions\": %llu, "
                      "\"warp_instrs_per_sec\": %.2f}%s\n",
-                     label_key, pt->label, pt->wall_seconds,
+                     label_key, pt->label, pt->runs_per_trial, pt->seconds(),
                      (unsigned long long)pt->counts.kernels,
-                     double(pt->counts.kernels) / pt->wall_seconds,
+                     double(pt->counts.kernels) / pt->seconds(),
                      (unsigned long long)pt->counts.warp_instructions,
                      pt->instrsPerSec(), pt == &base ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"%s\": %.3f\n", ratio_key, ratio);
+    std::fprintf(f, "  \"%s\": %.3f,\n", ratio_key, ratio);
+    std::fprintf(f, "  \"%s_range\": [%.3f, %.3f]\n", ratio_key, *lo, *hi);
     std::fprintf(f, "}\n");
     std::fclose(f);
-    std::printf("wrote %s (%s %.3f)\n", path, ratio_key, ratio);
+    std::printf("wrote %s (%s %.3f, %d trials %.3f-%.3f)\n", path, ratio_key,
+                ratio, kTrials, *lo, *hi);
 }
 
 } // namespace
@@ -274,17 +314,17 @@ main(int argc, char **argv)
     // functional mode, in warp-instrs/sec.
     writeSpeedJson("BENCH_sim_speed.json", kWorkload, "mode",
                    {"performance", cuda::SimMode::Performance,
-                    func::ExecMode::Auto},
+                    func::ExecMode::Auto, 4},
                    {"functional", cuda::SimMode::Functional,
-                    func::ExecMode::Auto},
+                    func::ExecMode::Auto, 10},
                    "slowdown_performance_vs_functional");
     // Functional-mode backend effect: decode-once compiled executor against
     // the reference interpreter.
     writeSpeedJson("BENCH_compiled_exec.json", kWorkload, "backend",
                    {"interp", cuda::SimMode::Functional,
-                    func::ExecMode::Interp},
+                    func::ExecMode::Interp, 3},
                    {"compiled", cuda::SimMode::Functional,
-                    func::ExecMode::Compiled},
+                    func::ExecMode::Compiled, 10},
                    "speedup_compiled_vs_interp");
     return 0;
 }

@@ -27,13 +27,15 @@ saveCta(BinaryWriter &w, const func::CtaExec &cta)
     w.put<uint32_t>(cta.ctaId().y);
     w.put<uint32_t>(cta.ctaId().z);
     w.put<uint32_t>(cta.numThreads());
-    // Per-thread registers + local memory.
+    // Per-thread registers + local memory, thread by thread, each run
+    // length-prefixed as putVector writes it: the format does not depend on
+    // how CtaExec lays registers out in memory.
     for (unsigned t = 0; t < cta.numThreads(); t++) {
-        const auto &th = cta.thread(t);
-        w.put<uint64_t>(th.regs.size());
-        for (const auto &r : th.regs)
-            w.put<uint64_t>(r.u64);
-        w.putVector(th.local);
+        w.put<uint64_t>(cta.numRegs());
+        for (unsigned r = 0; r < cta.numRegs(); r++)
+            w.put<uint64_t>(cta.reg(t, r).u64);
+        w.put<uint64_t>(cta.localBytes());
+        w.putBytes(cta.local(t), cta.localBytes());
     }
     // Per-warp SIMT stacks + barrier flags + instruction counters.
     w.put<uint32_t>(cta.numWarps());
@@ -65,13 +67,16 @@ loadCta(BinaryReader &r, const ptx::KernelDef &kernel, const Dim3 &grid,
     const auto nthreads = r.get<uint32_t>();
     MLGS_REQUIRE(nthreads == cta->numThreads(), "checkpoint CTA shape mismatch");
     for (unsigned t = 0; t < nthreads; t++) {
-        auto &th = cta->thread(t);
         const auto nregs = r.get<uint64_t>();
-        MLGS_REQUIRE(nregs == th.regs.size(),
+        MLGS_REQUIRE(nregs == cta->numRegs(),
                      "checkpoint register-file layout mismatch");
-        for (auto &reg : th.regs)
-            reg.u64 = r.get<uint64_t>();
-        th.local = r.getVector<uint8_t>();
+        for (unsigned reg = 0; reg < cta->numRegs(); reg++)
+            cta->reg(t, reg).u64 = r.get<uint64_t>();
+        const auto nlocal = r.get<uint64_t>();
+        MLGS_REQUIRE(nlocal == cta->localBytes(),
+                     "checkpoint local-memory size mismatch");
+        if (nlocal)
+            r.getBytes(cta->local(t), nlocal);
     }
     const auto nwarps = r.get<uint32_t>();
     MLGS_REQUIRE(nwarps == cta->numWarps(), "checkpoint warp count mismatch");

@@ -155,11 +155,9 @@ runEngine(const ptx::KernelDef &k, const LaunchSpec &spec,
             cta->enableRaceCheck();
         engine.runCta(*cta, env, UINT64_MAX, &stats);
         for (unsigned t = 0; t < tpc; t++) {
-            const auto &regs = cta->thread(t).regs;
-            std::vector<uint64_t> cells(regs.size());
-            static_assert(sizeof(ptx::RegVal) == 8,
-                          "RegVal must be a 64-bit cell");
-            std::memcpy(cells.data(), regs.data(), regs.size() * 8);
+            std::vector<uint64_t> cells(cta->numRegs());
+            for (unsigned r = 0; r < cta->numRegs(); r++)
+                cells[r] = cta->reg(t, r).u64;
             img.regs.push_back(std::move(cells));
         }
     }

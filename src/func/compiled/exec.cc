@@ -48,7 +48,7 @@ struct ExecCtx
     const UopProgram *prog = nullptr;
     unsigned warp = 0;
     unsigned tid0 = 0;                 ///< first thread id of the warp
-    RegVal *lanes[kWarpSize] = {};     ///< per-lane register files
+    RegVal *regs = nullptr;            ///< the warp's [reg][lane] block
     WarpStepResult *res = nullptr;     ///< single-step mode: access sink
     FuncStats *stats = nullptr;        ///< batch mode: direct accumulation
 };
@@ -64,13 +64,26 @@ makeCtx(Interpreter &interp, CtaExec &cta, const LaunchEnv &env,
     ctx.prog = &prog;
     ctx.warp = warp;
     ctx.tid0 = warp * kWarpSize;
-    const unsigned n = cta.numThreads();
-    for (unsigned lane = 0; lane < kWarpSize; lane++) {
-        const unsigned tid = ctx.tid0 + lane;
-        ctx.lanes[lane] = tid < n ? cta.thread(tid).regs.data() : nullptr;
-    }
+    ctx.regs = cta.warpRegs(warp);
     return ctx;
 }
+
+/**
+ * One lane's view of the warp's register block: r[reg] is register `reg`
+ * of that lane. A full-mask loop over lanes walks each register's
+ * kWarpSize cells in order.
+ */
+struct LaneRegs
+{
+    RegVal *base;
+    unsigned lane;
+
+    RegVal &
+    operator[](size_t reg) const
+    {
+        return base[reg * kWarpSize + lane];
+    }
+};
 
 /** Guard-predicate evaluation, identical to the interpreter's. */
 warp_mask_t
@@ -83,7 +96,7 @@ predMask(const Uop &u, warp_mask_t mask, const ExecCtx &ctx)
     while (m) {
         const unsigned lane = unsigned(__builtin_ctz(m));
         m &= m - 1;
-        const bool p = ctx.lanes[lane][size_t(u.pred)].pred;
+        const bool p = ctx.regs[size_t(u.pred) * kWarpSize + lane].pred;
         if (p != u.pred_neg)
             exec |= warp_mask_t(1) << lane;
     }
@@ -115,7 +128,7 @@ runtimeSym(const ExecCtx &ctx, int32_t sym)
 
 /** Generic scalar source read (mirrors Interpreter::readOperand). */
 RegVal
-srcVal(const ExecCtx &ctx, const UopSrc &s, unsigned lane, const RegVal *r)
+srcVal(const ExecCtx &ctx, const UopSrc &s, unsigned lane, LaneRegs r)
 {
     RegVal v{};
     switch (s.kind) {
@@ -139,14 +152,14 @@ srcVal(const ExecCtx &ctx, const UopSrc &s, unsigned lane, const RegVal *r)
 
 /** Specialized-kind source read: guaranteed register or typed immediate. */
 inline RegVal
-srcRI(const UopSrc &s, const RegVal *r)
+srcRI(const UopSrc &s, LaneRegs r)
 {
     return s.kind == UopSrc::K::Reg ? r[size_t(s.reg)] : s.imm;
 }
 
 /** Pre-resolved effective address (mirrors Interpreter::resolveAddr). */
 Ea
-uopAddr(const ExecCtx &ctx, const UopMem &m, const RegVal *r)
+uopAddr(const ExecCtx &ctx, const UopMem &m, LaneRegs r)
 {
     addr_t ea;
     if (m.base_reg >= 0)
@@ -198,7 +211,7 @@ recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
     do {                                                                      \
         if (exec == kFullWarpMask) {                                          \
             for (unsigned lane = 0; lane < kWarpSize; lane++) {               \
-                RegVal *const r = ctx.lanes[lane];                            \
+                const LaneRegs r{ctx.regs, lane};                             \
                 body;                                                         \
             }                                                                 \
         } else {                                                              \
@@ -206,7 +219,7 @@ recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
             while (m_) {                                                      \
                 const unsigned lane = unsigned(__builtin_ctz(m_));            \
                 m_ &= m_ - 1;                                                 \
-                RegVal *const r = ctx.lanes[lane];                            \
+                const LaneRegs r{ctx.regs, lane};                             \
                 body;                                                         \
             }                                                                 \
         }                                                                     \
@@ -701,8 +714,9 @@ accumulateUop(FuncStats &s, const Uop &u, warp_mask_t exec)
 
 } // namespace
 
-WarpStepResult
-stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env)
+void
+stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env,
+         WarpStepResult &res)
 {
     const UopProgram &prog = programFor(interp, cta);
     SimtStack &st = cta.stack(warp);
@@ -717,7 +731,6 @@ stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env)
     ExecCtx ctx = makeCtx(interp, cta, env, prog, warp);
     const warp_mask_t exec = predMask(u, mask, ctx);
 
-    WarpStepResult res;
     res.ins = &env.kernel->instrs[pc];
     res.pc = pc;
     res.active = exec;
@@ -728,13 +741,13 @@ stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env)
     switch (u.kind) {
       case UopKind::Bra:
         st.branch(exec, u.target_pc, pc + 1, u.reconv_pc);
-        return res;
+        return;
       case UopKind::Exit:
         st.exitLanes(exec);
         if (exec != mask && !st.empty())
             st.advance();
         res.exited = st.empty();
-        return res;
+        return;
       case UopKind::Bar:
         MLGS_REQUIRE(st.entries().size() == 1,
                      "bar.sync inside divergent control flow in ",
@@ -742,10 +755,10 @@ stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env)
         cta.setWarpAtBarrier(warp);
         st.advance();
         res.barrier = true;
-        return res;
+        return;
       case UopKind::Membar:
         st.advance();
-        return res;
+        return;
       default:
         break;
     }
@@ -753,7 +766,6 @@ stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env)
     ctx.res = &res;
     kHandlers[size_t(u.kind)](u, exec, ctx);
     st.advance();
-    return res;
 }
 
 void

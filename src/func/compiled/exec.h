@@ -34,9 +34,12 @@ struct LaunchEnv;
 namespace compiled
 {
 
-/** Execute one warp instruction (timing-model / warp-stream contract). */
-WarpStepResult stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp,
-                        const LaunchEnv &env);
+/**
+ * Execute one warp instruction (timing-model / warp-stream contract) into
+ * `res`, which the caller has cleared.
+ */
+void stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp,
+              const LaunchEnv &env, WarpStepResult &res);
 
 /**
  * Run a warp until done, at a barrier, or at the per-warp instruction limit.

@@ -1,5 +1,7 @@
 #include "func/cta_exec.h"
 
+#include <cstdint>
+
 namespace mlgs::func
 {
 
@@ -10,17 +12,24 @@ CtaExec::CtaExec(const ptx::KernelDef &kernel, const Dim3 &grid_dim,
       block_dim_(block_dim),
       cta_id_(cta_id),
       num_threads_(unsigned(block_dim.count())),
-      num_warps_((num_threads_ + kWarpSize - 1) / kWarpSize)
+      num_warps_((num_threads_ + kWarpSize - 1) / kWarpSize),
+      num_regs_(unsigned(kernel.reg_types.size())),
+      local_bytes_(kernel.local_bytes)
 {
     MLGS_REQUIRE(num_threads_ > 0 && num_threads_ <= 1024,
                  "CTA size out of range: ", num_threads_);
 
     if (alloc_state) {
-        threads_.resize(num_threads_);
-        for (auto &t : threads_) {
-            t.regs.assign(kernel.reg_types.size(), ptx::RegVal());
-            t.local.assign(kernel.local_bytes, 0);
-        }
+        // One block for every warp's registers, started on a cache line so
+        // each 32-lane register spans exactly four lines.
+        constexpr size_t kLineCells = 64 / sizeof(ptx::RegVal);
+        reg_store_.resize(size_t(num_warps_) * num_regs_ * kWarpSize +
+                          kLineCells - 1);
+        const uintptr_t addr = reinterpret_cast<uintptr_t>(reg_store_.data());
+        regs_ = reg_store_.data() +
+                (kLineCells - addr / sizeof(ptx::RegVal) % kLineCells) %
+                    kLineCells;
+        local_.assign(size_t(num_threads_) * local_bytes_, 0);
     }
 
     stacks_.resize(num_warps_);

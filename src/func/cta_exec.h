@@ -3,6 +3,12 @@
  * Functional state of one in-flight CTA: per-thread registers and local
  * memory, per-warp SIMT stacks and barrier status, and the CTA's shared
  * memory segment. This is exactly the "Data1" set the paper checkpoints.
+ *
+ * The registers of all threads live in one block laid out
+ * [warp][reg][lane]: a register of one warp is kWarpSize contiguous cells,
+ * so a 32-lane micro-op reads each operand from four adjacent cache lines
+ * even when the timing model interleaves many warps between its steps. The
+ * last warp is padded to kWarpSize lanes.
  */
 #ifndef MLGS_FUNC_CTA_EXEC_H
 #define MLGS_FUNC_CTA_EXEC_H
@@ -23,19 +29,12 @@ struct UopProgram;
 namespace mlgs::func
 {
 
-/** Per-thread architectural state. */
-struct ThreadState
-{
-    std::vector<ptx::RegVal> regs;
-    std::vector<uint8_t> local; ///< .local scratch
-};
-
 /** Functional state of one CTA. */
 class CtaExec
 {
   public:
     /**
-     * @param alloc_state allocate per-thread registers/local and shared
+     * @param alloc_state allocate the register block, local and shared
      * memory. Warp-stream replay (trace-driven timing) passes false: it
      * never reads or writes functional state, only the SIMT stacks, barrier
      * flags, and instruction counters.
@@ -52,8 +51,32 @@ class CtaExec
     unsigned numThreads() const { return num_threads_; }
     unsigned numWarps() const { return num_warps_; }
 
-    ThreadState &thread(unsigned tid) { return threads_[tid]; }
-    const ThreadState &thread(unsigned tid) const { return threads_[tid]; }
+    /** Registers per thread (the kernel's register count). */
+    unsigned numRegs() const { return num_regs_; }
+
+    /** Register `r` of thread `tid`. */
+    ptx::RegVal &reg(unsigned tid, size_t r) { return regs_[regIndex(tid, r)]; }
+    const ptx::RegVal &
+    reg(unsigned tid, size_t r) const
+    {
+        return regs_[regIndex(tid, r)];
+    }
+
+    /** A warp's registers: register r of lane l is at [r * kWarpSize + l]. */
+    ptx::RegVal *
+    warpRegs(unsigned warp)
+    {
+        return regs_ + regIndex(warp * kWarpSize, 0);
+    }
+
+    /** Thread `tid`'s .local scratch, localBytes() long. */
+    uint8_t *local(unsigned tid) { return local_.data() + tid * local_bytes_; }
+    const uint8_t *
+    local(unsigned tid) const
+    {
+        return local_.data() + tid * local_bytes_;
+    }
+    size_t localBytes() const { return local_bytes_; }
 
     SimtStack &stack(unsigned warp) { return stacks_[warp]; }
     const SimtStack &stack(unsigned warp) const { return stacks_[warp]; }
@@ -147,14 +170,24 @@ class CtaExec
     void setUopProgram(const ptx::UopProgram *p) { uops_ = p; }
 
   private:
+    size_t
+    regIndex(unsigned tid, size_t r) const
+    {
+        return (size_t(tid / kWarpSize) * num_regs_ + r) * kWarpSize +
+               tid % kWarpSize;
+    }
+
     const ptx::KernelDef *kernel_;
     Dim3 grid_dim_;
     Dim3 block_dim_;
     Dim3 cta_id_;
     unsigned num_threads_;
     unsigned num_warps_;
-
-    std::vector<ThreadState> threads_;
+    unsigned num_regs_;
+    size_t local_bytes_;
+    std::vector<ptx::RegVal> reg_store_; ///< backs regs_, with alignment slack
+    ptx::RegVal *regs_ = nullptr;       ///< cache-line aligned [warp][reg][lane]
+    std::vector<uint8_t> local_;        ///< [tid][local_bytes_]
     std::vector<SimtStack> stacks_;
     std::vector<uint8_t> shared_;
     std::vector<uint8_t> at_barrier_;

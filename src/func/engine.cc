@@ -114,11 +114,11 @@ FunctionalEngine::runCta(CtaExec &cta, const LaunchEnv &env,
             }
             while (!cta.warpDone(w) && !cta.warpAtBarrier(w) &&
                    cta.warpInstrCount(w) < max_instr_per_warp) {
-                const WarpStepResult res = interp.stepWarp(cta, w, env);
+                interp.stepWarp(cta, w, env, step_);
                 if (stats)
-                    stats->accumulate(res);
+                    stats->accumulate(step_);
                 progressed = true;
-                if (res.barrier)
+                if (step_.barrier)
                     break;
             }
         }

@@ -87,6 +87,7 @@ class FunctionalEngine
 
   private:
     Interpreter *interp_;
+    WarpStepResult step_; ///< reused by runCta's single-step loop
 };
 
 } // namespace mlgs::func

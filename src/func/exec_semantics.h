@@ -304,9 +304,9 @@ loadTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
       }
       case Space::Local: {
         const addr_t off = ea.addr - kLocalBase;
-        auto &local = cta.thread(tid).local;
-        MLGS_REQUIRE(off + total <= local.size(), "local read out of bounds");
-        std::memcpy(bytes, local.data() + off, total);
+        MLGS_REQUIRE(off + total <= cta.localBytes(),
+                     "local read out of bounds");
+        std::memcpy(bytes, cta.local(tid) + off, total);
         break;
       }
       default:
@@ -403,9 +403,9 @@ storeTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
       }
       case Space::Local: {
         const addr_t off = ea.addr - kLocalBase;
-        auto &local = cta.thread(tid).local;
-        MLGS_REQUIRE(off + total <= local.size(), "local write out of bounds");
-        std::memcpy(local.data() + off, bytes, total);
+        MLGS_REQUIRE(off + total <= cta.localBytes(),
+                     "local write out of bounds");
+        std::memcpy(cta.local(tid) + off, bytes, total);
         break;
       }
       default:

@@ -55,7 +55,7 @@ readOperand(const Instr &ins, const Operand &op, const CtaExec &cta,
     RegVal v;
     switch (op.kind) {
       case Operand::Kind::Reg:
-        return cta.thread(tid).regs[size_t(op.reg)];
+        return cta.reg(tid, size_t(op.reg));
       case Operand::Kind::Imm:
         v.u64 = uint64_t(op.imm);
         return v;
@@ -85,7 +85,7 @@ resolveAddr(const Instr &ins, const Operand &op, const CtaExec &cta,
 {
     addr_t ea;
     if (op.reg >= 0)
-        ea = cta.thread(tid).regs[size_t(op.reg)].u64 + addr_t(op.imm);
+        ea = cta.reg(tid, size_t(op.reg)).u64 + addr_t(op.imm);
     else
         ea = symbolAddr(op.sym, *env.kernel, env.symbols) + addr_t(op.imm);
     return Ea{resolveSpace(ins.space, ea), ea};
@@ -105,7 +105,7 @@ Interpreter::execLane(const Instr &ins, CtaExec &cta, unsigned tid, unsigned lan
                       const LaunchEnv &env, WarpStepResult &res)
 {
     (void)lane;
-    ThreadState &th = cta.thread(tid);
+    auto reg = [&](int r) -> RegVal & { return cta.reg(tid, size_t(r)); };
 
     auto src = [&](size_t i) {
         return readOperand(ins, ins.ops[i], cta, tid, env);
@@ -113,7 +113,7 @@ Interpreter::execLane(const Instr &ins, CtaExec &cta, unsigned tid, unsigned lan
     auto writeDst = [&](Type t, const RegVal &v) {
         MLGS_ASSERT(ins.ops[0].kind == Operand::Kind::Reg,
                     "destination must be a register: ", ins.text);
-        writeTyped(th.regs[size_t(ins.ops[0].reg)], t, v);
+        writeTyped(reg(ins.ops[0].reg), t, v);
     };
 
     switch (ins.op) {
@@ -166,7 +166,7 @@ Interpreter::execLane(const Instr &ins, CtaExec &cta, unsigned tid, unsigned lan
             const auto &vec = ins.ops[0].vec;
             MLGS_ASSERT(vec.size() == ins.vec_width, "vector width mismatch");
             for (unsigned i = 0; i < ins.vec_width; i++)
-                writeTyped(th.regs[size_t(vec[i])], ins.type, vals[i]);
+                writeTyped(reg(vec[i]), ins.type, vals[i]);
         }
         if (ea.space == Space::Global || ea.space == Space::Const ||
             ea.space == Space::Local) {
@@ -195,7 +195,7 @@ Interpreter::execLane(const Instr &ins, CtaExec &cta, unsigned tid, unsigned lan
             const auto &vec = ins.ops[1].vec;
             MLGS_ASSERT(vec.size() == ins.vec_width, "vector width mismatch");
             for (unsigned i = 0; i < ins.vec_width; i++)
-                vals[i] = th.regs[size_t(vec[i])];
+                vals[i] = reg(vec[i]);
         }
         storeTyped(*mem_, ea, ins.type, ins.vec_width, vals, cta, tid);
         if (ea.space == Space::Global || ea.space == Space::Const ||
@@ -251,9 +251,9 @@ Interpreter::execLane(const Instr &ins, CtaExec &cta, unsigned tid, unsigned lan
         // Coordinates.
         const Type ct = ins.stype;
         MLGS_ASSERT(!taddr.vec.empty(), "tex without coordinates");
-        const int64_t xi = texCoordToInt(ct, th.regs[size_t(taddr.vec[0])]);
+        const int64_t xi = texCoordToInt(ct, reg(taddr.vec[0]));
         const int64_t yi = (ins.tex_dim >= 2 && taddr.vec.size() >= 2)
-                               ? texCoordToInt(ct, th.regs[size_t(taddr.vec[1])])
+                               ? texCoordToInt(ct, reg(taddr.vec[1]))
                                : 0;
         const TexFetch f = texFetch(*mem_, *bind, ins.tex_dim, xi, yi);
         if (f.hit)
@@ -265,7 +265,7 @@ Interpreter::execLane(const Instr &ins, CtaExec &cta, unsigned tid, unsigned lan
             for (size_t i = 0; i < vec.size(); i++) {
                 RegVal v;
                 v.f32 = f.texel[i];
-                writeTyped(th.regs[size_t(vec[i])], Type::F32, v);
+                writeTyped(reg(vec[i]), Type::F32, v);
             }
         } else {
             RegVal v;
@@ -311,25 +311,30 @@ Interpreter::setSiteProfiler(SiteProfiler *prof)
     profiler_ = prof;
 }
 
-WarpStepResult
-Interpreter::stepWarp(CtaExec &cta, unsigned warp, const LaunchEnv &env)
+void
+Interpreter::stepWarp(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                      WarpStepResult &res)
 {
-    if (replay_streams_)
-        return replayStep(cta, warp, env);
+    res.clear();
+    if (replay_streams_) {
+        replayStep(cta, warp, env, res);
+        return;
+    }
     if (profiler_)
         profiler_->beginStep();
-    WarpStepResult res = mode_ == ExecMode::Compiled
-                             ? compiled::stepWarp(*this, cta, warp, env)
-                             : stepWarpExec(cta, warp, env);
+    if (mode_ == ExecMode::Compiled)
+        compiled::stepWarp(*this, cta, warp, env, res);
+    else
+        stepWarpExec(cta, warp, env, res);
     if (profiler_)
         profiler_->finishStep(env.kernel->name, cta.blockDim(), res);
     if (record_streams_)
         record_streams_->append(env.launch_seq, cta, warp, res);
-    return res;
 }
 
-WarpStepResult
-Interpreter::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env)
+void
+Interpreter::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                        WarpStepResult &res)
 {
     const WarpStream &ws = replay_streams_->stream(env.launch_seq, cta, warp);
     const uint64_t idx = cta.warpInstrCount(warp);
@@ -342,7 +347,6 @@ Interpreter::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env)
     MLGS_ASSERT(st.pc() == s.pc, "warp stream replay diverged: at pc ",
                 st.pc(), ", recorded pc ", s.pc, " in ", env.kernel->name);
 
-    WarpStepResult res;
     res.ins = &env.kernel->instrs[s.pc];
     res.pc = s.pc;
     res.active = s.active;
@@ -369,11 +373,11 @@ Interpreter::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env)
         if (s.barrier)
             cta.setWarpAtBarrier(warp);
     }
-    return res;
 }
 
-WarpStepResult
-Interpreter::stepWarpExec(CtaExec &cta, unsigned warp, const LaunchEnv &env)
+void
+Interpreter::stepWarpExec(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                          WarpStepResult &res)
 {
     SimtStack &st = cta.stack(warp);
     MLGS_ASSERT(!st.empty(), "stepWarp on a finished warp");
@@ -392,13 +396,12 @@ Interpreter::stepWarpExec(CtaExec &cta, unsigned warp, const LaunchEnv &env)
             if (!((mask >> lane) & 1))
                 continue;
             const unsigned tid = warp * kWarpSize + lane;
-            const bool p = cta.thread(tid).regs[size_t(ins.pred)].pred;
+            const bool p = cta.reg(tid, size_t(ins.pred)).pred;
             if (p != ins.pred_neg)
                 exec |= warp_mask_t(1) << lane;
         }
     }
 
-    WarpStepResult res;
     res.ins = &ins;
     res.pc = pc;
     res.active = exec;
@@ -408,14 +411,14 @@ Interpreter::stepWarpExec(CtaExec &cta, unsigned warp, const LaunchEnv &env)
 
     if (ins.op == Op::Bra) {
         st.branch(exec, ins.target_pc, pc + 1, ins.reconv_pc);
-        return res;
+        return;
     }
     if (ins.isExit()) {
         st.exitLanes(exec);
         if (exec != mask && !st.empty())
             st.advance();
         res.exited = st.empty();
-        return res;
+        return;
     }
     if (ins.op == Op::Bar) {
         MLGS_REQUIRE(st.entries().size() == 1,
@@ -423,11 +426,11 @@ Interpreter::stepWarpExec(CtaExec &cta, unsigned warp, const LaunchEnv &env)
         cta.setWarpAtBarrier(warp);
         st.advance();
         res.barrier = true;
-        return res;
+        return;
     }
     if (ins.op == Op::Membar) {
         st.advance();
-        return res;
+        return;
     }
 
     for (unsigned lane = 0; lane < kWarpSize; lane++) {
@@ -437,7 +440,6 @@ Interpreter::stepWarpExec(CtaExec &cta, unsigned warp, const LaunchEnv &env)
         execLane(ins, cta, tid, lane, env, res);
     }
     st.advance();
-    return res;
 }
 
 } // namespace mlgs::func

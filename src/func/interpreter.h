@@ -98,16 +98,19 @@ class Interpreter
     SiteProfiler *siteProfiler() const { return profiler_; }
 
     /**
-     * Execute the next instruction of a warp. The warp must not be done and
-     * must not be waiting at a barrier.
+     * Execute the next instruction of a warp into `res`, which is cleared
+     * first. A caller that reuses one result keeps its access buffer, so a
+     * step allocates nothing once the buffer has grown. The warp must not be
+     * done and must not be waiting at a barrier.
      */
-    WarpStepResult stepWarp(CtaExec &cta, unsigned warp, const LaunchEnv &env);
+    void stepWarp(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                  WarpStepResult &res);
 
   private:
-    WarpStepResult stepWarpExec(CtaExec &cta, unsigned warp,
-                                const LaunchEnv &env);
-    WarpStepResult replayStep(CtaExec &cta, unsigned warp,
-                              const LaunchEnv &env);
+    void stepWarpExec(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                      WarpStepResult &res);
+    void replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                    WarpStepResult &res);
 
     void execLane(const ptx::Instr &ins, CtaExec &cta, unsigned tid,
                   unsigned lane, const LaunchEnv &env, WarpStepResult &res);

@@ -34,6 +34,19 @@ struct WarpStepResult
     unsigned shared_accesses = 0;    ///< lane count touching shared memory
     bool barrier = false;            ///< warp arrived at bar.sync
     bool exited = false;             ///< warp fully exited
+
+    /** Back to the empty result; `accesses` keeps its capacity. */
+    void
+    clear()
+    {
+        ins = nullptr;
+        pc = 0;
+        active = 0;
+        accesses.clear();
+        shared_accesses = 0;
+        barrier = false;
+        exited = false;
+    }
 };
 
 } // namespace mlgs::func

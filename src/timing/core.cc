@@ -112,13 +112,8 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
     if (used_shared_ + disp.shared_bytes_per_cta > cfg_->shared_mem_per_core)
         return false;
 
-    // Free warp slots.
-    std::vector<unsigned> slots;
-    for (unsigned w = 0; w < warps_.size() && slots.size() < disp.warps_per_cta;
-         w++)
-        if (!warps_[w].valid)
-            slots.push_back(w);
-    if (slots.size() < disp.warps_per_cta)
+    // Every valid warp slot holds a live warp.
+    if (warps_.size() - live_warps_total_ < disp.warps_per_cta)
         return false;
 
     int cta_idx = -1;
@@ -144,7 +139,10 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
             /*alloc_state=*/!interp_->warpStreamReplayActive());
     }
     cs.disp = &disp;
-    cs.warp_slots = slots;
+    // The lowest-numbered free warp slots, in order.
+    for (unsigned w = 0; cs.warp_slots.size() < disp.warps_per_cta; w++)
+        if (!warps_[w].valid)
+            cs.warp_slots.push_back(w);
     cs.live_warps = 0;
     for (unsigned w = 0; w < cs.cta->numWarps(); w++)
         if (!cs.cta->warpDone(w))
@@ -152,7 +150,7 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
 
     MLGS_ASSERT(cs.cta->numWarps() == disp.warps_per_cta, "warp count mismatch");
     for (unsigned i = 0; i < disp.warps_per_cta; i++) {
-        WarpSlot &w = warps_[slots[i]];
+        WarpSlot &w = warps_[cs.warp_slots[i]];
         w.valid = !cs.cta->warpDone(i); // restored CTAs may have done warps
         w.cta_slot = cta_idx;
         w.warp_in_cta = i;
@@ -161,7 +159,7 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
         w.pending_loads = 0;
         w.last_issue = 0;
         w.regs = &disp.regs;
-        updateWarp(slots[i]);
+        updateWarp(cs.warp_slots[i]);
     }
     barrier_check_ = true; // a restored CTA may resume mid-barrier
 
@@ -273,7 +271,8 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
     const func::LaunchEnv &env = *cs.disp->env;
 
-    const WarpStepResult res = interp_->stepWarp(*cs.cta, w.warp_in_cta, env);
+    interp_->stepWarp(*cs.cta, w.warp_in_cta, env, step_);
+    const WarpStepResult &res = step_;
     w.last_issue = now;
 
     const unsigned lanes = unsigned(__builtin_popcount(res.active));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -37,9 +38,14 @@ struct Image
 Image
 runOne(func::ExecMode mode, const char *src, const std::string &kernel,
        Dim3 grid, Dim3 block, const std::vector<uint8_t> &in,
-       size_t out_bytes)
+       size_t out_bytes, bool single_step = false)
 {
     MiniGpu gpu({}, mode);
+    // An attached warp-stream recorder makes the engine step one warp
+    // instruction at a time, the path the timing model drives.
+    func::WarpStreamCache streams;
+    if (single_step)
+        gpu.interp.setWarpStreamRecord(&streams);
     const ptx::Module m = ptx::parseModule(src, "compiled_exec.ptx");
     const auto *k = m.findKernel(kernel);
     MLGS_REQUIRE(k, "kernel not found: ", kernel);
@@ -68,10 +74,9 @@ runOne(func::ExecMode mode, const char *src, const std::string &kernel,
             gpu.engine.runCta(*cta, env, UINT64_MAX, &img.stats);
         EXPECT_TRUE(done);
         for (unsigned t = 0; t < tpc; t++) {
-            const auto &regs = cta->thread(t).regs;
-            std::vector<uint64_t> cells(regs.size());
-            static_assert(sizeof(ptx::RegVal) == 8, "RegVal is a 64-bit cell");
-            std::memcpy(cells.data(), regs.data(), regs.size() * 8);
+            std::vector<uint64_t> cells(cta->numRegs());
+            for (unsigned r = 0; r < cta->numRegs(); r++)
+                cells[r] = cta->reg(t, r).u64;
             img.regs.push_back(std::move(cells));
         }
     }
@@ -98,19 +103,10 @@ expectStatsEqual(const func::FuncStats &a, const func::FuncStats &b)
     EXPECT_EQ(a.shared_races, b.shared_races);
 }
 
-/** Run under both backends and assert bitwise state equality; returns the
- *  compiled image for semantic spot checks. */
-Image
-expectBothMatch(const char *src, const std::string &kernel, Dim3 grid,
-                Dim3 block, const std::vector<uint8_t> &in, size_t out_bytes)
+/** Assert two runs left bitwise-identical state. */
+void
+expectSameImage(const Image &ref, const Image &cmp)
 {
-    const Image ref =
-        runOne(func::ExecMode::Interp, src, kernel, grid, block, in,
-               out_bytes);
-    const Image cmp =
-        runOne(func::ExecMode::Compiled, src, kernel, grid, block, in,
-               out_bytes);
-
     EXPECT_EQ(ref.out, cmp.out) << "memory image diverged";
     EXPECT_EQ(ref.regs.size(), cmp.regs.size());
     for (size_t t = 0; t < std::min(ref.regs.size(), cmp.regs.size()); t++) {
@@ -123,6 +119,21 @@ expectBothMatch(const char *src, const std::string &kernel, Dim3 grid,
         }
     }
     expectStatsEqual(ref.stats, cmp.stats);
+}
+
+/** Run under both backends and assert bitwise state equality; returns the
+ *  compiled image for semantic spot checks. */
+Image
+expectBothMatch(const char *src, const std::string &kernel, Dim3 grid,
+                Dim3 block, const std::vector<uint8_t> &in, size_t out_bytes)
+{
+    const Image ref =
+        runOne(func::ExecMode::Interp, src, kernel, grid, block, in,
+               out_bytes);
+    const Image cmp =
+        runOne(func::ExecMode::Compiled, src, kernel, grid, block, in,
+               out_bytes);
+    expectSameImage(ref, cmp);
     return cmp;
 }
 
@@ -445,6 +456,97 @@ EXIT:
     for (unsigned t = 0; t < 64; t++)
         in.push_back(float(t) * 0.25f - 3.0f);
     expectBothMatch(src, "reduce", Dim3(2), Dim3(32), asBytes(in), 4);
+}
+
+// ---- several warps per CTA with a partial last warp ----
+
+TEST(CompiledExec, MultiWarpPartialCtaMatchesInterp)
+{
+    // 80 threads per CTA: two full warps and a 16-lane one. Every warp's
+    // registers share one block, so this checks the lane indexing of every
+    // warp, the padded tail, the shared exchange across warps and .local.
+    // The compiled backend runs both its batch loop and its single-step
+    // path (the one the timing model drives).
+    const char *src = R"(
+.visible .entry multiwarp(.param .u64 in, .param .u64 out)
+{
+    .reg .u64 %rd<11>;
+    .reg .u32 %r<15>;
+    .reg .f32 %f<6>;
+    .reg .pred %p<3>;
+    .shared .align 4 .b8 sdata[320];
+    .local .align 4 .b8 buf[8];
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    mov.u32 %r1, %tid.x;
+    mov.u32 %r2, %tid.y;
+    mov.u32 %r3, %tid.z;
+    mov.u32 %r4, %ntid.x;
+    mov.u32 %r5, %ntid.y;
+    mov.u32 %r8, %ntid.z;
+    mad.lo.u32 %r6, %r3, %r5, %r2;
+    mad.lo.u32 %r6, %r6, %r4, %r1;
+    mul.lo.u32 %r9, %r4, %r5;
+    mul.lo.u32 %r9, %r9, %r8;
+    mov.u32 %r7, %ctaid.x;
+    mad.lo.u32 %r10, %r7, %r9, %r6;
+    mul.wide.u32 %rd3, %r10, 4;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.f32 %f1, [%rd4];
+    cvt.rn.f32.u32 %f2, %r6;
+    fma.rn.f32 %f3, %f1, %f2, %f1;
+    mov.u64 %rd5, sdata;
+    mul.wide.u32 %rd6, %r6, 4;
+    add.u64 %rd7, %rd5, %rd6;
+    st.shared.f32 [%rd7], %f3;
+    bar.sync 0;
+    add.u32 %r11, %r6, 37;
+    rem.u32 %r11, %r11, %r9;
+    mul.wide.u32 %rd8, %r11, 4;
+    add.u64 %rd8, %rd5, %rd8;
+    ld.shared.f32 %f4, [%rd8];
+    and.b32 %r12, %r6, 3;
+    setp.eq.u32 %p1, %r12, 0;
+    @%p1 bra SKIP;
+    add.f32 %f4, %f4, %f1;
+    xor.b32 %r10, %r10, 0x5a5a;
+SKIP:
+    mov.u64 %rd9, buf;
+    st.local.f32 [%rd9], %f4;
+    st.local.u32 [%rd9+4], %r10;
+    ld.local.f32 %f5, [%rd9];
+    ld.local.u32 %r13, [%rd9+4];
+    setp.gt.f32 %p2, %f5, 0f00000000;
+    selp.u32 %r14, %r13, %r11, %p2;
+    add.u64 %rd10, %rd2, %rd3;
+    st.global.f32 [%rd10], %f5;
+    @%p2 st.global.u32 [%rd10+640], %r14;
+    ret;
+}
+)";
+    std::vector<float> in;
+    for (unsigned t = 0; t < 160; t++)
+        in.push_back(float(t) * 0.375f - 20.0f);
+    const Dim3 grid(2), block(8, 5, 2);
+    const Image batch = expectBothMatch(src, "multiwarp", grid, block,
+                                        asBytes(in), 160 * 4 * 2);
+    const Image step =
+        runOne(func::ExecMode::Compiled, src, "multiwarp", grid, block,
+               asBytes(in), 160 * 4 * 2, /*single_step=*/true);
+    expectSameImage(batch, step);
+    EXPECT_EQ(batch.regs.size(), 160u);
+
+    // Each thread stored its cross-warp neighbour's value.
+    std::vector<float> got(160);
+    std::memcpy(got.data(), batch.out.data(), got.size() * 4);
+    for (unsigned g = 0; g < 160; g++) {
+        const unsigned cta = g / 80, t = g % 80, n = (t + 37) % 80;
+        const float x = in[cta * 80 + n];
+        float want = std::fmaf(x, float(n), x);
+        if (t % 4 != 0)
+            want += in[g];
+        EXPECT_EQ(got[g], want) << "thread " << g;
+    }
 }
 
 // ---- global vector loads/stores ----

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "chkpt/checkpoint.h"
+#include "common/fnv.h"
 #include "debug/debugger.h"
 #include "oracle/hw_oracle.h"
 #include "sim_test_util.h"
@@ -391,13 +392,10 @@ TEST(Checkpoint, CtaStateRoundTrips)
     auto restored = chkpt::loadCta(r, m.kernels[0], Dim3(1), Dim3(64));
 
     ASSERT_EQ(restored->numThreads(), cta->numThreads());
-    for (unsigned t = 0; t < cta->numThreads(); t++) {
-        const auto &a = cta->thread(t).regs;
-        const auto &b = restored->thread(t).regs;
-        ASSERT_EQ(a.size(), b.size());
-        for (size_t i = 0; i < a.size(); i++)
-            ASSERT_EQ(a[i].u64, b[i].u64);
-    }
+    ASSERT_EQ(restored->numRegs(), cta->numRegs());
+    for (unsigned t = 0; t < cta->numThreads(); t++)
+        for (unsigned i = 0; i < cta->numRegs(); i++)
+            ASSERT_EQ(cta->reg(t, i).u64, restored->reg(t, i).u64);
     for (unsigned wp = 0; wp < cta->numWarps(); wp++) {
         ASSERT_EQ(cta->stack(wp).entries().size(),
                   restored->stack(wp).entries().size());
@@ -415,6 +413,62 @@ TEST(Checkpoint, CtaStateRoundTrips)
     for (unsigned i = 0; i < 64; i++)
         ASSERT_EQ(mem.load<float>(0x10002000 + i * 4),
                   mem2.load<float>(0x10002000 + i * 4));
+}
+
+// A CTA with a partial last warp, registers, .local and shared memory, for
+// pinning the checkpoint bytes.
+const char *kPinLocal = R"(
+.visible .entry pin_local(.param .u64 out)
+{
+    .reg .u64 %rd<5>;
+    .reg .u32 %r<6>;
+    .reg .f32 %f<3>;
+    .reg .pred %p<2>;
+    .local .align 4 .b8 buf[12];
+    .shared .align 4 .b8 tile[24];
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    mov.u64 %rd2, buf;
+    st.local.u32 [%rd2], %r1;
+    ret;
+}
+)";
+
+TEST(Checkpoint, SaveCtaBytesPinned)
+{
+    // The on-disk CTA format is per thread, register by register, whatever
+    // the in-memory register layout. The FNV below was recorded when each
+    // thread still kept its own register vector.
+    const ptx::Module m = ptx::parseModule(kPinLocal, "pin.ptx");
+    const ptx::KernelDef &k = m.kernels[0];
+    func::CtaExec cta(k, Dim3(3, 2), Dim3(8, 5), Dim3(2, 1));
+    ASSERT_EQ(cta.numThreads(), 40u);
+    ASSERT_EQ(cta.numRegs(), 16u);
+    ASSERT_EQ(cta.localBytes(), 12u);
+    for (unsigned t = 0; t < cta.numThreads(); t++) {
+        for (unsigned r = 0; r < cta.numRegs(); r++)
+            cta.reg(t, r).u64 =
+                (uint64_t(t + 1) << 40) ^ (r * 0x9e3779b97f4a7c15ull);
+        for (size_t i = 0; i < cta.localBytes(); i++)
+            cta.local(t)[i] = uint8_t(t * 7 + i);
+    }
+    for (size_t i = 0; i < cta.shared().size(); i++)
+        cta.shared()[i] = uint8_t(0xa0 + i);
+    cta.instrCounts()[1] = 5;
+    cta.barrierFlags()[0] = 1;
+
+    BinaryWriter w;
+    chkpt::saveCta(w, cta);
+    EXPECT_EQ(w.bytes().size(), 6350u);
+    EXPECT_EQ(fnv1a(w.bytes().data(), w.bytes().size()),
+              0xbfadd6c0358fed4aull);
+
+    // Restoring and saving again reproduces the same bytes.
+    BinaryReader r(w.bytes());
+    const auto restored = chkpt::loadCta(r, k, Dim3(3, 2), Dim3(8, 5));
+    BinaryWriter w2;
+    chkpt::saveCta(w2, *restored);
+    EXPECT_EQ(w2.bytes(), w.bytes());
 }
 
 // ---- oracle ----
