@@ -125,7 +125,7 @@ main(int argc, char **argv)
         // A minimized failure is only useful if it survives the process:
         // always dump a reproducer pair.
         if (want_minimize && dump_dir.empty())
-            dump_dir = ".";
+            dump_dir.push_back('.'); // not `= "."`: GCC 12 -O3 -Wrestrict
 
         unsigned failures = 0, divergences = 0;
         for (uint64_t s = seed; s < seed + count; s++) {

@@ -16,6 +16,10 @@
  */
 #include "func/compiled/exec.h"
 
+#include <bit>
+#include <functional>
+#include <type_traits>
+
 #include "func/engine.h"
 #include "func/exec_semantics.h"
 #include "func/interpreter.h"
@@ -157,18 +161,40 @@ srcRI(const UopSrc &s, LaneRegs r)
     return s.kind == UopSrc::K::Reg ? r[size_t(s.reg)] : s.imm;
 }
 
-/** Pre-resolved effective address (mirrors Interpreter::resolveAddr). */
-Ea
-uopAddr(const ExecCtx &ctx, const UopMem &m, LaneRegs r)
+/**
+ * A memory operand's per-lane address. A symbol base is lane-uniform and
+ * resolved once per warp instruction; callers build this only when a lane
+ * is active, so an unresolved symbol fails exactly when the interpreter's
+ * would.
+ */
+struct LaneAddr
 {
-    addr_t ea;
+    int32_t base_reg; ///< -1: every lane uses `off`
+    addr_t off;       ///< immediate offset, or the whole symbol address
+
+    addr_t
+    operator()(LaneRegs r) const
+    {
+        return base_reg >= 0 ? r[size_t(base_reg)].u64 + off : off;
+    }
+
+    /** With generic-space resolution (mirrors Interpreter::resolveAddr). */
+    Ea
+    resolve(Space declared, LaneRegs r) const
+    {
+        const addr_t a = (*this)(r);
+        return Ea{resolveSpace(declared, a), a};
+    }
+};
+
+LaneAddr
+laneAddr(const ExecCtx &ctx, const UopMem &m)
+{
     if (m.base_reg >= 0)
-        ea = r[size_t(m.base_reg)].u64 + addr_t(m.imm);
-    else if (m.sym >= 0)
-        ea = runtimeSym(ctx, m.sym) + addr_t(m.imm);
-    else
-        ea = windowBase(m.sym_space) + m.sym_off + addr_t(m.imm);
-    return Ea{resolveSpace(m.space, ea), ea};
+        return LaneAddr{m.base_reg, addr_t(m.imm)};
+    const addr_t sym = m.sym >= 0 ? runtimeSym(ctx, m.sym)
+                                  : windowBase(m.sym_space) + m.sym_off;
+    return LaneAddr{-1, sym + addr_t(m.imm)};
 }
 
 /**
@@ -280,10 +306,13 @@ hBfi(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 void
 hLd(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
+    if (!exec)
+        return;
     const unsigned bytes = u.vec_width * ptx::typeSize(u.type);
+    const LaneAddr addr = laneAddr(ctx, u.mem);
     MLGS_LANE_LOOP({
         const unsigned tid = ctx.tid0 + lane;
-        const Ea ea = uopAddr(ctx, u.mem, r);
+        const Ea ea = addr.resolve(u.mem.space, r);
         RegVal vals[4];
         loadTyped(*ctx.mem, ea, u.type, u.vec_width, vals, *ctx.cta, tid,
                   *ctx.env);
@@ -299,10 +328,13 @@ hLd(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 void
 hSt(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
+    if (!exec)
+        return;
     const unsigned bytes = u.vec_width * ptx::typeSize(u.type);
+    const LaneAddr addr = laneAddr(ctx, u.mem);
     MLGS_LANE_LOOP({
         const unsigned tid = ctx.tid0 + lane;
-        const Ea ea = uopAddr(ctx, u.mem, r);
+        const Ea ea = addr.resolve(u.mem.space, r);
         RegVal vals[4];
         if (u.vec_width == 1)
             vals[0] = srcVal(ctx, u.a, lane, r);
@@ -317,9 +349,12 @@ hSt(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 void
 hAtom(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
+    if (!exec)
+        return;
+    const LaneAddr addr = laneAddr(ctx, u.mem);
     MLGS_LANE_LOOP({
         const unsigned tid = ctx.tid0 + lane;
-        const Ea ea = uopAddr(ctx, u.mem, r);
+        const Ea ea = addr.resolve(u.mem.space, r);
         RegVal old;
         loadTyped(*ctx.mem, ea, u.type, 1, &old, *ctx.cta, tid, *ctx.env);
         const RegVal b = srcVal(ctx, u.a, lane, r);
@@ -614,14 +649,59 @@ hFMax32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
                                  double(srcRI(u.b, r).f32)))));
 }
 
+/** A 32-bit compare as the lane loop's element type. */
+template <typename T>
+inline T
+lane32(const RegVal &v)
+{
+    if constexpr (std::is_signed_v<T>)
+        return v.s32;
+    else
+        return v.u32;
+}
+
+template <typename T, typename Cmp>
+void
+setpLanes(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    const Cmp cmp{};
+    MLGS_LANE_LOOP(r[size_t(u.dst)].pred = cmp(lane32<T>(srcRI(u.a, r)),
+                                               lane32<T>(srcRI(u.b, r))));
+}
+
+template <typename T>
+void
+setpTyped(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    switch (u.cmp) {
+      case CmpOp::Eq: setpLanes<T, std::equal_to<T>>(u, exec, ctx); break;
+      case CmpOp::Ne: setpLanes<T, std::not_equal_to<T>>(u, exec, ctx); break;
+      case CmpOp::Lt: case CmpOp::Lo:
+        setpLanes<T, std::less<T>>(u, exec, ctx);
+        break;
+      case CmpOp::Le: case CmpOp::Ls:
+        setpLanes<T, std::less_equal<T>>(u, exec, ctx);
+        break;
+      case CmpOp::Gt: case CmpOp::Hi:
+        setpLanes<T, std::greater<T>>(u, exec, ctx);
+        break;
+      default: // Ge, Hs
+        setpLanes<T, std::greater_equal<T>>(u, exec, ctx);
+        break;
+    }
+}
+
 void
 hSetp32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
-    // setpCompare never takes the float-fatal path for 32-bit int types.
-    static const std::string kNoText;
-    MLGS_LANE_LOOP(r[size_t(u.dst)].pred =
-                       setpCompare(u.type, u.cmp, srcRI(u.a, r),
-                                   srcRI(u.b, r), kNoText));
+    // setpCompare's integer rules: lo/ls/hi/hs compare unsigned whatever
+    // the type; the other compares are signed only for s32.
+    const bool unsigned_cmp = u.cmp == CmpOp::Lo || u.cmp == CmpOp::Ls ||
+                              u.cmp == CmpOp::Hi || u.cmp == CmpOp::Hs;
+    if (u.type == Type::S32 && !unsigned_cmp)
+        setpTyped<int32_t>(u, exec, ctx);
+    else
+        setpTyped<uint32_t>(u, exec, ctx);
 }
 
 void
@@ -659,6 +739,324 @@ hSelp64(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
                                               : srcRI(u.b, r).u64);
 }
 
+void
+hMovSreg32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    // Computed once per warp: uniform registers are read once, and the
+    // thread index steps through the block from the warp's first thread
+    // instead of dividing per lane.
+    const ptx::SReg s = u.a.sreg;
+    if (s == ptx::SReg::TidX || s == ptx::SReg::TidY ||
+        s == ptx::SReg::TidZ) {
+        const Dim3 &bd = ctx.cta->blockDim();
+        Dim3 t = ctx.cta->threadIdx3(ctx.tid0);
+        uint32_t vals[kWarpSize];
+        for (unsigned lane = 0; lane < kWarpSize; lane++) {
+            vals[lane] = s == ptx::SReg::TidX   ? t.x
+                         : s == ptx::SReg::TidY ? t.y
+                                                : t.z;
+            if (++t.x == bd.x) {
+                t.x = 0;
+                if (++t.y == bd.y) {
+                    t.y = 0;
+                    t.z++;
+                }
+            }
+        }
+        MLGS_LANE_LOOP(r[size_t(u.dst)].u32 = vals[lane]);
+    } else if (s == ptx::SReg::LaneId) {
+        MLGS_LANE_LOOP(r[size_t(u.dst)].u32 = lane);
+    } else {
+        const uint32_t v = readSpecial(s, *ctx.cta, ctx.tid0);
+        MLGS_LANE_LOOP(r[size_t(u.dst)].u32 = v);
+    }
+}
+
+void
+hCvtZext64(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    MLGS_LANE_LOOP(r[size_t(u.dst)].u64 = srcRI(u.a, r).u32);
+}
+
+void
+hCvtSext64(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    MLGS_LANE_LOOP(r[size_t(u.dst)].s64 = srcRI(u.a, r).s32);
+}
+
+void
+hCvtF32S32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    MLGS_LANE_LOOP(r[size_t(u.dst)].f32 = float(double(srcRI(u.a, r).s32)));
+}
+
+void
+hCvtF32U32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    MLGS_LANE_LOOP(r[size_t(u.dst)].f32 = float(double(srcRI(u.a, r).u32)));
+}
+
+// ---- warp-wide ld/st with a declared space ----
+//
+// loadTyped + writeTyped set exactly the low `E` bytes of each destination
+// cell (the typed union field), and storeTyped writes the low `E` bytes of
+// each value, so a lane's data moves as raw bytes with no per-lane type
+// switch. Accesses run in lane order, so overlapping lanes resolve as in the
+// interpreter, and single-step mode records one MemAccess per lane in lane
+// order: the timing model coalesces lines in that order.
+
+static_assert(std::endian::native == std::endian::little,
+              "raw-byte lane copies assume the typed fields are the low bytes");
+
+template <unsigned E>
+using ElemSize = std::integral_constant<unsigned, E>;
+
+/** Call f with the element size as an ElemSize (lowering excludes 0). */
+template <typename F>
+inline void
+byElemSize(Type t, F &&f)
+{
+    switch (ptx::typeSize(t)) {
+      case 1: f(ElemSize<1>{}); break;
+      case 2: f(ElemSize<2>{}); break;
+      case 4: f(ElemSize<4>{}); break;
+      default: f(ElemSize<8>{}); break;
+    }
+}
+
+/** One lane's loaded bytes into its destination register(s). */
+template <unsigned E>
+inline void
+putLoaded(const Uop &u, LaneRegs r, const uint8_t *p)
+{
+    if (u.vec_width == 1) {
+        std::memcpy(static_cast<void *>(&r[size_t(u.dst)]), p, E);
+        return;
+    }
+    for (unsigned i = 0; i < u.dvec_n; i++)
+        std::memcpy(static_cast<void *>(&r[size_t(u.dvec[i])]), p + i * E, E);
+}
+
+/** One lane's store bytes. */
+template <unsigned E>
+inline void
+getStored(const Uop &u, const ExecCtx &ctx, unsigned lane, LaneRegs r,
+          uint8_t *out)
+{
+    if (u.vec_width == 1) {
+        const RegVal v = srcVal(ctx, u.a, lane, r);
+        std::memcpy(out, &v, E);
+        return;
+    }
+    for (unsigned i = 0; i < u.svec_n; i++)
+        std::memcpy(out + i * E, &r[size_t(u.svec[i])], E);
+}
+
+/** Never-written pages read as zero. */
+constexpr uint8_t kZeroBytes[32] = {};
+
+/**
+ * Global/const lane accesses with the page looked up once per run of lanes
+ * on the same page. A page-straddling access gets nullptr and goes through
+ * GpuMemory::read/write instead.
+ */
+class PageCursor
+{
+  public:
+    explicit PageCursor(GpuMemory &mem) : mem_(mem) {}
+
+    /** The `n` bytes at `a`: in the page, or zeros if it was never written. */
+    const uint8_t *
+    readable(addr_t a, size_t n)
+    {
+        const size_t off = size_t(a & (GpuMemory::kPageSize - 1));
+        if (off + n > GpuMemory::kPageSize)
+            return nullptr;
+        if (a >> GpuMemory::kPageBits != page_) {
+            page_ = a >> GpuMemory::kPageBits;
+            rdata_ = mem_.pageData(page_);
+        }
+        return rdata_ ? rdata_ + off : kZeroBytes;
+    }
+
+    /** The `n` bytes at `a` in the page, materialized on first use. */
+    uint8_t *
+    writable(addr_t a, size_t n)
+    {
+        const size_t off = size_t(a & (GpuMemory::kPageSize - 1));
+        if (off + n > GpuMemory::kPageSize)
+            return nullptr;
+        if (a >> GpuMemory::kPageBits != page_) {
+            page_ = a >> GpuMemory::kPageBits;
+            wdata_ = mem_.pageDataForWrite(page_);
+        }
+        return wdata_ + off;
+    }
+
+  private:
+    GpuMemory &mem_;
+    addr_t page_ = ~addr_t(0); ///< no address shifts to this index
+    const uint8_t *rdata_ = nullptr;
+    uint8_t *wdata_ = nullptr;
+};
+
+/** Book-keep a warp's global/const ld/st in batch mode: one add per warp. */
+inline void
+countGlobal(const ExecCtx &ctx, warp_mask_t exec, unsigned bytes,
+            bool is_store)
+{
+    if (!ctx.stats)
+        return;
+    const uint64_t n = uint64_t(bytes) * unsigned(__builtin_popcount(exec));
+    if (is_store)
+        ctx.stats->global_st_bytes += n;
+    else
+        ctx.stats->global_ld_bytes += n;
+}
+
+/** Book-keep a warp's shared ld/st: one add per warp in either mode. */
+inline void
+countShared(const ExecCtx &ctx, warp_mask_t exec)
+{
+    const unsigned n = unsigned(__builtin_popcount(exec));
+    if (ctx.res)
+        ctx.res->shared_accesses += n;
+    else if (ctx.stats)
+        ctx.stats->shared_accesses += n;
+}
+
+void
+hLdGlobal(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    if (!exec)
+        return;
+    const unsigned bytes = u.vec_width * ptx::typeSize(u.type);
+    const LaneAddr addr = laneAddr(ctx, u.mem);
+    PageCursor pages(*ctx.mem);
+    byElemSize(u.type, [&](auto esz) {
+        constexpr unsigned E = decltype(esz)::value;
+        MLGS_LANE_LOOP({
+            const addr_t a = addr(r);
+            const uint8_t *p = pages.readable(a, bytes);
+            uint8_t tmp[32];
+            if (!p) {
+                ctx.mem->read(a, tmp, bytes);
+                p = tmp;
+            }
+            putLoaded<E>(u, r, p);
+            if (ctx.res)
+                ctx.res->accesses.push_back(
+                    MemAccess{a, bytes, false, false, u.mem.space});
+        });
+    });
+    countGlobal(ctx, exec, bytes, false);
+}
+
+void
+hStGlobal(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    if (!exec)
+        return;
+    const unsigned bytes = u.vec_width * ptx::typeSize(u.type);
+    const LaneAddr addr = laneAddr(ctx, u.mem);
+    PageCursor pages(*ctx.mem);
+    byElemSize(u.type, [&](auto esz) {
+        constexpr unsigned E = decltype(esz)::value;
+        MLGS_LANE_LOOP({
+            const addr_t a = addr(r);
+            if (uint8_t *p = pages.writable(a, bytes)) {
+                getStored<E>(u, ctx, lane, r, p);
+            } else {
+                uint8_t tmp[32];
+                getStored<E>(u, ctx, lane, r, tmp);
+                ctx.mem->write(a, tmp, bytes);
+            }
+            if (ctx.res)
+                ctx.res->accesses.push_back(
+                    MemAccess{a, bytes, true, false, u.mem.space});
+        });
+    });
+    countGlobal(ctx, exec, bytes, true);
+}
+
+void
+hLdShared(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    if (!exec)
+        return;
+    const unsigned bytes = u.vec_width * ptx::typeSize(u.type);
+    const LaneAddr addr = laneAddr(ctx, u.mem);
+    const std::vector<uint8_t> &shared = ctx.cta->shared();
+    RaceShadow *rs = ctx.cta->raceShadow();
+    byElemSize(u.type, [&](auto esz) {
+        constexpr unsigned E = decltype(esz)::value;
+        MLGS_LANE_LOOP({
+            const addr_t off = addr(r) - kSharedBase;
+            MLGS_REQUIRE(off + bytes <= shared.size(),
+                         "shared read out of bounds in ",
+                         ctx.env->kernel->name, " offset ", off);
+            putLoaded<E>(u, r, shared.data() + off);
+            if (rs)
+                rs->onAccess(size_t(off), bytes, ctx.tid0 + lane, u.pc,
+                             u.line, false);
+        });
+    });
+    countShared(ctx, exec);
+}
+
+void
+hStShared(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    if (!exec)
+        return;
+    const unsigned bytes = u.vec_width * ptx::typeSize(u.type);
+    const LaneAddr addr = laneAddr(ctx, u.mem);
+    std::vector<uint8_t> &shared = ctx.cta->shared();
+    RaceShadow *rs = ctx.cta->raceShadow();
+    byElemSize(u.type, [&](auto esz) {
+        constexpr unsigned E = decltype(esz)::value;
+        MLGS_LANE_LOOP({
+            const addr_t off = addr(r) - kSharedBase;
+            uint8_t vals[32];
+            getStored<E>(u, ctx, lane, r, vals);
+            MLGS_REQUIRE(off + bytes <= shared.size(),
+                         "shared write out of bounds offset ", off);
+            std::memcpy(shared.data() + off, vals, bytes);
+            if (rs)
+                rs->onAccess(size_t(off), bytes, ctx.tid0 + lane, u.pc,
+                             u.line, true);
+        });
+    });
+    countShared(ctx, exec);
+}
+
+void
+hLdParam(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    if (!exec)
+        return;
+    const unsigned bytes = u.vec_width * ptx::typeSize(u.type);
+    const LaneAddr addr = laneAddr(ctx, u.mem);
+    const std::vector<uint8_t> &params = ctx.env->params;
+    auto at = [&](addr_t a) {
+        const addr_t off = a - kParamBase;
+        MLGS_REQUIRE(off + bytes <= params.size(),
+                     "param read out of bounds in ", ctx.env->kernel->name);
+        return params.data() + off;
+    };
+    byElemSize(u.type, [&](auto esz) {
+        constexpr unsigned E = decltype(esz)::value;
+        if (addr.base_reg < 0) {
+            // A symbol address is the same for every lane: read once and
+            // broadcast.
+            const uint8_t *p = at(addr.off);
+            MLGS_LANE_LOOP(putLoaded<E>(u, r, p));
+        } else {
+            MLGS_LANE_LOOP(putLoaded<E>(u, r, at(addr(r))));
+        }
+    });
+}
+
 #undef MLGS_LANE_LOOP
 
 constexpr size_t kNumKinds = size_t(UopKind::Count);
@@ -667,7 +1065,9 @@ constexpr size_t kNumKinds = size_t(UopKind::Count);
 const Handler kHandlers[kNumKinds] = {
     nullptr, nullptr, nullptr, nullptr, // Bra, Exit, Bar, Membar
     hMov, hCvt, hSetpG, hSelpG, hBfi, hLd, hSt, hAtom, hTex, hAlu,
-    hMov32, hMov64,
+    hMov32, hMov64, hMovSreg32,
+    hCvtZext64, hCvtSext64, hCvtF32S32, hCvtF32U32,
+    hLdGlobal, hStGlobal, hLdShared, hStShared, hLdParam,
     hIAdd32, hISub32, hIMul32, hIMad32,
     hIAnd32, hIOr32, hIXor32, hIShl32, hIShrS32, hIShrU32,
     hIMinS32, hIMinU32, hIMaxS32, hIMaxU32,

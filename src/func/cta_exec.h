@@ -29,6 +29,8 @@ struct UopProgram;
 namespace mlgs::func
 {
 
+struct WarpStream;
+
 /** Functional state of one CTA. */
 class CtaExec
 {
@@ -169,6 +171,27 @@ class CtaExec
     const ptx::UopProgram *uopProgram() const { return uops_; }
     void setUopProgram(const ptx::UopProgram *p) { uops_ = p; }
 
+    // ---- warp-stream replay cache ----
+
+    /**
+     * The recorded stream a warp replays from, or nullptr before its first
+     * replayed step. A CTA belongs to one launch, so the stream is found
+     * once per warp instead of on every step.
+     */
+    const WarpStream *
+    replayStream(unsigned warp) const
+    {
+        return warp < replay_.size() ? replay_[warp] : nullptr;
+    }
+
+    void
+    setReplayStream(unsigned warp, const WarpStream *ws)
+    {
+        if (replay_.empty())
+            replay_.assign(num_warps_, nullptr);
+        replay_[warp] = ws;
+    }
+
   private:
     size_t
     regIndex(unsigned tid, size_t r) const
@@ -194,6 +217,7 @@ class CtaExec
     std::vector<uint64_t> instr_count_;
     std::unique_ptr<RaceShadow> race_;
     const ptx::UopProgram *uops_ = nullptr;
+    std::vector<const WarpStream *> replay_;
 };
 
 } // namespace mlgs::func

@@ -51,7 +51,7 @@ FuncStats::accumulate(const WarpStepResult &res)
         }
     }
 
-    for (const auto &acc : res.accesses) {
+    for (const auto &acc : res.memAccesses()) {
         if (acc.space == ptx::Space::Global || acc.space == ptx::Space::Const ||
             acc.space == ptx::Space::Tex) {
             if (acc.is_store)

@@ -336,7 +336,12 @@ void
 Interpreter::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env,
                         WarpStepResult &res)
 {
-    const WarpStream &ws = replay_streams_->stream(env.launch_seq, cta, warp);
+    const WarpStream *wsp = cta.replayStream(warp);
+    if (!wsp) {
+        wsp = &replay_streams_->stream(env.launch_seq, cta, warp);
+        cta.setReplayStream(warp, wsp);
+    }
+    const WarpStream &ws = *wsp;
     const uint64_t idx = cta.warpInstrCount(warp);
     MLGS_REQUIRE(idx < ws.steps.size(),
                  "warp stream replay: stream exhausted at step ", idx,
@@ -353,8 +358,8 @@ Interpreter::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env,
     res.shared_accesses = s.shared_accesses;
     res.barrier = s.barrier;
     res.exited = s.exited;
-    res.accesses.assign(ws.accesses.begin() + s.first_access,
-                        ws.accesses.begin() + s.first_access + s.num_accesses);
+    res.replayed = std::span<const MemAccess>(ws.accesses)
+                       .subspan(s.first_access, s.num_accesses);
 
     cta.warpInstrCount(warp)++;
     auto &entries = st.entries();
@@ -367,9 +372,12 @@ Interpreter::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env,
         MLGS_REQUIRE(idx + 1 < ws.steps.size(),
                      "warp stream replay: truncated stream in ",
                      env.kernel->name);
-        entries.assign(
-            1, SimtStack::Entry{ws.steps[idx + 1].pc, ptx::kReconvExit,
-                                s.active ? s.active : warp_mask_t(1)});
+        const SimtStack::Entry next{ws.steps[idx + 1].pc, ptx::kReconvExit,
+                                    s.active ? s.active : warp_mask_t(1)};
+        if (entries.size() == 1)
+            entries.front() = next; // every replayed step after the first
+        else
+            entries.assign(1, next);
         if (s.barrier)
             cta.setWarpAtBarrier(warp);
     }

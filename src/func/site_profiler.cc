@@ -33,7 +33,7 @@ SiteProfiler::finishStep(const std::string &kernel, const Dim3 &block,
         return;
     }
     const bool has_global = [&] {
-        for (const MemAccess &a : res.accesses)
+        for (const MemAccess &a : res.memAccesses())
             if (a.space == ptx::Space::Global)
                 return true;
         return false;
@@ -57,7 +57,7 @@ SiteProfiler::finishStep(const std::string &kernel, const Dim3 &block,
         std::set<addr_t> lines;
         bool is_store = false, is_atomic = false;
         unsigned width = 0;
-        for (const MemAccess &a : res.accesses) {
+        for (const MemAccess &a : res.memAccesses()) {
             if (a.space != ptx::Space::Global)
                 continue;
             lines.insert(a.addr & lmask);

@@ -6,6 +6,7 @@
 #ifndef MLGS_FUNC_WARP_STEP_H
 #define MLGS_FUNC_WARP_STEP_H
 
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -30,10 +31,23 @@ struct WarpStepResult
     const ptx::Instr *ins = nullptr; ///< instruction that executed
     uint32_t pc = 0;                 ///< its PC
     warp_mask_t active = 0;          ///< lanes that executed (guard applied)
-    std::vector<MemAccess> accesses; ///< per-lane accesses (global/local/tex)
+    /**
+     * Per-lane accesses (global/local/tex) an executor produced, one per
+     * lane in lane order: the timing model coalesces lines in this order.
+     */
+    std::vector<MemAccess> accesses;
+    /** A replayed step's accesses, viewed in the recorded stream's pool. */
+    std::span<const MemAccess> replayed;
     unsigned shared_accesses = 0;    ///< lane count touching shared memory
     bool barrier = false;            ///< warp arrived at bar.sync
     bool exited = false;             ///< warp fully exited
+
+    /** The step's accesses: the recorded slice when replayed, else `accesses`. */
+    std::span<const MemAccess>
+    memAccesses() const
+    {
+        return replayed.data() ? replayed : std::span<const MemAccess>(accesses);
+    }
 
     /** Back to the empty result; `accesses` keeps its capacity. */
     void
@@ -43,6 +57,7 @@ struct WarpStepResult
         pc = 0;
         active = 0;
         accesses.clear();
+        replayed = {};
         shared_accesses = 0;
         barrier = false;
         exited = false;

@@ -22,6 +22,19 @@ GpuMemory::touchPage(addr_t page_idx)
     return page;
 }
 
+const uint8_t *
+GpuMemory::pageData(addr_t page_idx) const
+{
+    const Page *page = findPage(page_idx);
+    return page ? page->data() : nullptr;
+}
+
+uint8_t *
+GpuMemory::pageDataForWrite(addr_t page_idx)
+{
+    return touchPage(page_idx).data();
+}
+
 void
 GpuMemory::read(addr_t addr, void *out, size_t n) const
 {

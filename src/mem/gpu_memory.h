@@ -63,6 +63,17 @@ class GpuMemory
     /** Drop all contents. */
     void clear() { pages_.clear(); }
 
+    /**
+     * Direct page access for callers that touch many addresses on one page
+     * (a warp's lanes): the kPageSize bytes of page `page_idx` (an address
+     * shifted right by kPageBits), or nullptr when the page was never
+     * written and so reads as zero. Valid until clear() or restore().
+     */
+    const uint8_t *pageData(addr_t page_idx) const;
+
+    /** Writable bytes of page `page_idx`, zero-filled on first use. */
+    uint8_t *pageDataForWrite(addr_t page_idx);
+
   private:
     using Page = std::vector<uint8_t>;
 

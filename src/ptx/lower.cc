@@ -188,6 +188,54 @@ is64Int(Type t)
 }
 
 /**
+ * Pick a specialized kind for an integer/float cvt whose execCvt +
+ * writeTyped result is a plain lane expression. An integer conversion into
+ * a 32-bit (64-bit) destination from a source at least as wide keeps the
+ * source's low bits, which is exactly Mov32 (Mov64); widening 32 -> 64
+ * extends by the source's signedness; a 32-bit integer to f32 rounds the
+ * exact double once. The rounding modifier only affects float -> int.
+ */
+UopKind
+specializeCvt(Type dt, Type st)
+{
+    const bool st_int = is32(st) || is64Int(st);
+    if (is32(dt) && st_int)
+        return UopKind::Mov32;
+    if (is64Int(dt) && is64Int(st))
+        return UopKind::Mov64;
+    if (is64Int(dt) && is32(st))
+        return st == Type::S32 ? UopKind::CvtSext64 : UopKind::CvtZext64;
+    if (dt == Type::F32 && is32(st))
+        return st == Type::S32 ? UopKind::CvtF32S32 : UopKind::CvtF32U32;
+    return UopKind::Cvt;
+}
+
+/**
+ * Warp-wide ld/st kind for a declared global/const, shared or param space
+ * (param is load-only). Generic and local accesses, and types the typed
+ * load/store paths reject, keep the generic kind.
+ */
+UopKind
+specializeLdSt(const Instr &ins, bool is_load)
+{
+    if (ptx::typeSize(ins.type) == 0 || ins.type == Type::Pred)
+        return is_load ? UopKind::Ld : UopKind::St;
+    switch (ins.space) {
+      case Space::Global: case Space::Const:
+        return is_load ? UopKind::LdGlobal : UopKind::StGlobal;
+      case Space::Shared:
+        return is_load ? UopKind::LdShared : UopKind::StShared;
+      case Space::Param:
+        if (is_load)
+            return UopKind::LdParam;
+        break;
+      default:
+        break;
+    }
+    return is_load ? UopKind::Ld : UopKind::St;
+}
+
+/**
  * Pick a specialized SIMD kind for an ALU uop when its semantics collapse to
  * a plain lane expression: register/immediate operands only and a type/mode
  * combination whose makeInt/makeF + writeTyped round trip is a simple field
@@ -348,6 +396,9 @@ lowerInstr(const KernelDef &k, const Instr &ins, uint32_t pc,
                 u.kind = UopKind::Mov32;
             else if (ptx::typeSize(ins.type) == 8)
                 u.kind = UopKind::Mov64;
+        } else if (u.a.kind == UopSrc::K::Sreg &&
+                   ptx::typeSize(ins.type) == 4) {
+            u.kind = UopKind::MovSreg32;
         }
         return u;
       }
@@ -356,6 +407,8 @@ lowerInstr(const KernelDef &k, const Instr &ins, uint32_t pc,
         u.dst = dstReg();
         u.stype = ins.stype == Type::None ? ins.type : ins.stype;
         u.a = lowerSrc(k, ins, ins.ops[1], prog);
+        if (regOrImm(u.a))
+            u.kind = specializeCvt(ins.type, u.stype);
         return u;
       case Op::Setp:
         u.kind = UopKind::SetpG;
@@ -394,7 +447,7 @@ lowerInstr(const KernelDef &k, const Instr &ins, uint32_t pc,
         u.d = lowerSrc(k, ins, ins.ops[4], prog);
         return u;
       case Op::Ld: {
-        u.kind = UopKind::Ld;
+        u.kind = specializeLdSt(ins, true);
         u.mem = lowerMem(k, ins, ins.ops[1], prog);
         if (ins.vec_width == 1) {
             u.dst = dstReg();
@@ -408,7 +461,7 @@ lowerInstr(const KernelDef &k, const Instr &ins, uint32_t pc,
         return u;
       }
       case Op::St: {
-        u.kind = UopKind::St;
+        u.kind = specializeLdSt(ins, false);
         u.mem = lowerMem(k, ins, ins.ops[0], prog);
         if (ins.vec_width == 1) {
             u.a = lowerSrc(k, ins, ins.ops[1], prog);

@@ -35,7 +35,9 @@ namespace mlgs::ptx
  * funnel into the shared scalar semantics (exec_semantics.h); the remaining
  * kinds are specialized lane-loop handlers for uniform arith/logic micro-ops
  * whose operands are plain registers or pre-converted immediates, structured
- * for autovectorization across the 32 lanes.
+ * for autovectorization across the 32 lanes, plus warp-wide forms of the
+ * hot conversions, special-register moves and ld/st with a declared
+ * global/const, shared or param space.
  */
 enum class UopKind : uint8_t
 {
@@ -44,7 +46,9 @@ enum class UopKind : uint8_t
     // ---- generic scalar-semantics fallbacks ----
     Mov, Cvt, SetpG, SelpG, Bfi, Ld, St, Atom, Tex, Alu,
     // ---- specialized SIMD lane loops ----
-    Mov32, Mov64,
+    Mov32, Mov64, MovSreg32,
+    CvtZext64, CvtSext64, CvtF32S32, CvtF32U32,
+    LdGlobal, StGlobal, LdShared, StShared, LdParam,
     IAdd32, ISub32, IMul32, IMad32,
     IAnd32, IOr32, IXor32, IShl32, IShrS32, IShrU32,
     IMinS32, IMinU32, IMaxS32, IMaxU32,

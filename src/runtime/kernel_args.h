@@ -7,6 +7,7 @@
 #define MLGS_RUNTIME_KERNEL_ARGS_H
 
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -23,11 +24,11 @@ class KernelArgs
     add(T v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        const size_t align = sizeof(T);
-        while (bytes_.size() % align)
-            bytes_.push_back(0);
-        const auto *p = reinterpret_cast<const uint8_t *>(&v);
-        bytes_.insert(bytes_.end(), p, p + sizeof(T));
+        // Zero padding up to the natural alignment, then the value.
+        const size_t off = (bytes_.size() + sizeof(T) - 1) / sizeof(T) *
+                           sizeof(T);
+        bytes_.resize(off + sizeof(T));
+        std::memcpy(bytes_.data() + off, &v, sizeof(T));
         return *this;
     }
 

@@ -5,6 +5,7 @@
 namespace mlgs::timing
 {
 
+using func::MemAccess;
 using func::WarpStepResult;
 using ptx::Op;
 
@@ -310,14 +311,15 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     }
 
     // Memory path.
-    if (!res.accesses.empty()) {
+    const std::span<const MemAccess> accesses = res.memAccesses();
+    if (!accesses.empty()) {
         // Coalesce per-lane accesses into cache lines.
         const unsigned line = cfg_->l1.line_bytes;
         std::vector<addr_t> &lines = load_lines_;
         std::vector<addr_t> &store_lines = store_lines_;
         lines.clear();
         store_lines.clear();
-        for (const auto &acc : res.accesses) {
+        for (const auto &acc : accesses) {
             auto &list = acc.is_store ? store_lines : lines;
             const addr_t la = acc.addr & ~addr_t(line - 1);
             // Also cover accesses straddling a line boundary.

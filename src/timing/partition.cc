@@ -77,11 +77,4 @@ MemPartition::popResponse()
     return mf;
 }
 
-bool
-MemPartition::busy() const
-{
-    return !incoming_.empty() || !responses_.empty() || inflight_ > 0 ||
-           dram_.busyOrPending();
-}
-
 } // namespace mlgs::timing

@@ -29,7 +29,12 @@ class MemPartition
     bool hasResponse() const { return !responses_.empty(); }
     MemFetch popResponse();
 
-    bool busy() const;
+    bool
+    busy() const
+    {
+        return !incoming_.empty() || !responses_.empty() || inflight_ > 0 ||
+               dram_.busyOrPending();
+    }
 
     const TagCache &l2() const { return l2_; }
     const DramChannel &dram() const { return dram_; }

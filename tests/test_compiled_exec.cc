@@ -22,12 +22,23 @@ using namespace mlgs::test;
 namespace
 {
 
+/** One single-step warp instruction as the timing model consumes it. */
+struct StepRec
+{
+    uint32_t pc = 0;
+    warp_mask_t active = 0;
+    unsigned shared_accesses = 0;
+    std::vector<func::MemAccess> accesses; ///< in lane order
+};
+
 /** Final architectural state of one single-backend run. */
 struct Image
 {
     std::vector<uint8_t> out;
     std::vector<std::vector<uint64_t>> regs; ///< [thread][reg] raw cells
     func::FuncStats stats;
+    size_t pages = 0;            ///< materialized device-memory pages
+    std::vector<StepRec> steps;  ///< single-step mode: [cta][warp][step]
 };
 
 /**
@@ -79,7 +90,20 @@ runOne(func::ExecMode mode, const char *src, const std::string &kernel,
                 cells[r] = cta->reg(t, r).u64;
             img.regs.push_back(std::move(cells));
         }
+        if (!single_step)
+            continue;
+        for (unsigned w = 0; w < cta->numWarps(); w++) {
+            const func::WarpStream &ws = streams.stream(0, *cta, w);
+            for (const func::WarpStreamStep &st : ws.steps) {
+                StepRec rec{st.pc, st.active, st.shared_accesses, {}};
+                rec.accesses.assign(
+                    ws.accesses.begin() + st.first_access,
+                    ws.accesses.begin() + st.first_access + st.num_accesses);
+                img.steps.push_back(std::move(rec));
+            }
+        }
     }
+    img.pages = gpu.mem.pageCount();
     img.out = gpu.download<uint8_t>(out, out_bytes);
     return img;
 }
@@ -119,10 +143,37 @@ expectSameImage(const Image &ref, const Image &cmp)
         }
     }
     expectStatsEqual(ref.stats, cmp.stats);
+    EXPECT_EQ(ref.pages, cmp.pages) << "materialized pages diverged";
 }
 
-/** Run under both backends and assert bitwise state equality; returns the
- *  compiled image for semantic spot checks. */
+/** Assert two single-step runs handed the timing model the same steps,
+ *  with the same per-lane accesses in the same order. */
+void
+expectSameSteps(const Image &ref, const Image &cmp)
+{
+    ASSERT_EQ(ref.steps.size(), cmp.steps.size());
+    for (size_t i = 0; i < ref.steps.size(); i++) {
+        const StepRec &a = ref.steps[i];
+        const StepRec &b = cmp.steps[i];
+        EXPECT_EQ(a.pc, b.pc) << "step " << i;
+        EXPECT_EQ(a.active, b.active) << "step " << i;
+        EXPECT_EQ(a.shared_accesses, b.shared_accesses) << "step " << i;
+        ASSERT_EQ(a.accesses.size(), b.accesses.size()) << "step " << i;
+        for (size_t j = 0; j < a.accesses.size(); j++) {
+            const func::MemAccess &x = a.accesses[j];
+            const func::MemAccess &y = b.accesses[j];
+            EXPECT_EQ(x.addr, y.addr) << "step " << i << " access " << j;
+            EXPECT_EQ(x.size, y.size) << "step " << i << " access " << j;
+            EXPECT_EQ(x.is_store, y.is_store) << "step " << i;
+            EXPECT_EQ(x.is_atomic, y.is_atomic) << "step " << i;
+            EXPECT_EQ(x.space, y.space) << "step " << i << " access " << j;
+        }
+    }
+}
+
+/** Run under both backends, batched and single-step, and assert bitwise
+ *  state equality plus identical single-step access lists; returns the
+ *  compiled batch image for semantic spot checks. */
 Image
 expectBothMatch(const char *src, const std::string &kernel, Dim3 grid,
                 Dim3 block, const std::vector<uint8_t> &in, size_t out_bytes)
@@ -134,7 +185,29 @@ expectBothMatch(const char *src, const std::string &kernel, Dim3 grid,
         runOne(func::ExecMode::Compiled, src, kernel, grid, block, in,
                out_bytes);
     expectSameImage(ref, cmp);
+    const Image ref_step =
+        runOne(func::ExecMode::Interp, src, kernel, grid, block, in,
+               out_bytes, true);
+    const Image cmp_step =
+        runOne(func::ExecMode::Compiled, src, kernel, grid, block, in,
+               out_bytes, true);
+    expectSameImage(ref, ref_step);
+    expectSameImage(ref, cmp_step);
+    expectSameSteps(ref_step, cmp_step);
     return cmp;
+}
+
+/** Both backends, batched and single-step, must reject the kernel. */
+void
+expectAllFail(const char *src, const std::string &kernel, Dim3 grid,
+              Dim3 block, size_t out_bytes)
+{
+    for (const auto mode : {func::ExecMode::Interp, func::ExecMode::Compiled})
+        for (const bool single_step : {false, true})
+            EXPECT_THROW(runOne(mode, src, kernel, grid, block, {}, out_bytes,
+                                single_step),
+                         FatalError)
+                << func::execModeName(mode) << " single_step=" << single_step;
 }
 
 template <typename T>
@@ -724,6 +797,300 @@ TEST(CompiledExec, SetpSelpMatchesInterp)
         in.push_back(vals[(t / 2 + 1) % 8]);
     }
     expectBothMatch(src, "selects", Dim3(1), Dim3(32), asBytes(in), 32 * 4);
+}
+
+// ---- warp-wide ld/st, compare, convert and special-register edge cases ----
+
+TEST(CompiledExec, PageStraddlingGlobalLdStMatchesInterp)
+{
+    // Lanes walk 4-byte steps across a 4 KiB page boundary with 8-byte and
+    // v2 accesses: lane 15 straddles it. The overlapping u64 stores also pin
+    // lane order (the higher lane's bytes win).
+    const char *src = R"(
+.visible .entry straddle(.param .u64 in, .param .u64 out)
+{
+    .reg .u64 %rd<12>;
+    .reg .u32 %r<4>;
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd3, %r1, 4;
+    add.u64 %rd4, %rd1, 4096;
+    and.b64 %rd4, %rd4, -4096;
+    sub.u64 %rd4, %rd4, 60;
+    add.u64 %rd5, %rd4, %rd3;
+    ld.global.u64 %rd6, [%rd5];
+    ld.global.v2.u32 {%r2, %r3}, [%rd5];
+    add.u64 %rd7, %rd2, 4096;
+    and.b64 %rd7, %rd7, -4096;
+    sub.u64 %rd7, %rd7, 60;
+    add.u64 %rd8, %rd7, %rd3;
+    st.global.u64 [%rd8], %rd6;
+    st.global.v2.u32 [%rd8+256], {%r3, %r2};
+    ret;
+}
+)";
+    std::vector<uint32_t> in(3 * 1024);
+    for (size_t i = 0; i < in.size(); i++)
+        in[i] = uint32_t(i) * 2654435761u;
+    expectBothMatch(src, "straddle", Dim3(1), Dim3(32), asBytes(in),
+                    3 * 4096);
+}
+
+TEST(CompiledExec, NeverWrittenPageReadsZero)
+{
+    // 1 MiB past the output buffer is device memory nobody wrote: loads see
+    // zero and must not materialize the page (Image::pages is compared).
+    const char *src = R"(
+.visible .entry untouched(.param .u64 out)
+{
+    .reg .u64 %rd<6>;
+    .reg .u32 %r<4>;
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, 1048576;
+    add.u64 %rd3, %rd3, %rd2;
+    mov.u32 %r2, 77;
+    ld.global.u32 %r2, [%rd3];
+    ld.global.u64 %rd4, [%rd3+4090];
+    add.u64 %rd5, %rd1, %rd2;
+    st.global.u32 [%rd5], %r2;
+    ret;
+}
+)";
+    const Image img =
+        expectBothMatch(src, "untouched", Dim3(1), Dim3(32), {}, 32 * 4);
+    for (const uint8_t b : img.out)
+        EXPECT_EQ(b, 0);
+}
+
+TEST(CompiledExec, GenericLoadAcrossSpacesMatchesInterp)
+{
+    // One generic ld.u32 whose lanes resolve to global, shared, param and
+    // local by address window, plus a generic store back to shared/global.
+    const char *src = R"(
+.visible .entry spaces(.param .u64 in, .param .u64 out)
+{
+    .reg .u64 %rd<10>;
+    .reg .u32 %r<8>;
+    .reg .pred %p<4>;
+    .shared .align 4 .b8 sbuf[128];
+    .local .align 4 .b8 lbuf[8];
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd3, %r1, 4;
+    mov.u64 %rd4, sbuf;
+    add.u64 %rd5, %rd4, %rd3;
+    add.u32 %r2, %r1, 1000;
+    st.shared.u32 [%rd5], %r2;
+    mov.u64 %rd6, lbuf;
+    st.local.u32 [%rd6], %r1;
+    bar.sync 0;
+    add.u64 %rd7, %rd1, %rd3;
+    and.b32 %r3, %r1, 3;
+    setp.eq.u32 %p1, %r3, 1;
+    setp.eq.u32 %p2, %r3, 2;
+    setp.eq.u32 %p3, %r3, 3;
+    @%p1 mov.u64 %rd7, %rd5;
+    @%p2 mov.u64 %rd7, in;
+    @%p3 mov.u64 %rd7, %rd6;
+    ld.u32 %r4, [%rd7];
+    add.u64 %rd8, %rd2, %rd3;
+    @%p1 mov.u64 %rd8, %rd5;
+    st.u32 [%rd8], %r4;
+    bar.sync 0;
+    ld.shared.u32 %r5, [%rd5];
+    add.u64 %rd9, %rd2, 128;
+    add.u64 %rd9, %rd9, %rd3;
+    st.global.u32 [%rd9], %r5;
+    ret;
+}
+)";
+    std::vector<uint32_t> in(32);
+    for (unsigned t = 0; t < 32; t++)
+        in[t] = 0xabc00000u + t;
+    expectBothMatch(src, "spaces", Dim3(1), Dim3(32), asBytes(in), 256);
+}
+
+TEST(CompiledExec, OutOfBoundsParamAndSharedStillFail)
+{
+    const char *src = R"(
+.visible .entry param_sym(.param .u64 out)
+{
+    .reg .u32 %r<2>;
+    ld.param.u32 %r1, [out+8];
+    ret;
+}
+.visible .entry param_reg(.param .u64 out)
+{
+    .reg .u64 %rd<2>;
+    .reg .u32 %r<2>;
+    mov.u64 %rd1, out;
+    ld.param.u32 %r1, [%rd1+6];
+    ret;
+}
+.visible .entry shared_ld(.param .u64 out)
+{
+    .reg .u64 %rd<4>;
+    .reg .u32 %r<4>;
+    .shared .align 4 .b8 sbuf[64];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd1, %r1, 4;
+    mov.u64 %rd2, sbuf;
+    add.u64 %rd3, %rd2, %rd1;
+    ld.shared.u32 %r2, [%rd3+2];
+    ret;
+}
+.visible .entry shared_st(.param .u64 out)
+{
+    .reg .u64 %rd<4>;
+    .reg .u32 %r<4>;
+    .shared .align 4 .b8 sbuf[64];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd1, %r1, 4;
+    mov.u64 %rd2, sbuf;
+    add.u64 %rd3, %rd2, %rd1;
+    st.shared.u32 [%rd3+2], %r1;
+    ret;
+}
+)";
+    // param_sym starts at the end of the 8-byte block; param_reg starts
+    // inside it and runs 2 bytes past.
+    expectAllFail(src, "param_sym", Dim3(1), Dim3(32), 4);
+    expectAllFail(src, "param_reg", Dim3(1), Dim3(32), 4);
+    // With 16 lanes only the last access (bytes 62..65) leaves the 64-byte
+    // segment; with 15 every access is inside it.
+    expectAllFail(src, "shared_ld", Dim3(1), Dim3(16), 4);
+    expectAllFail(src, "shared_st", Dim3(1), Dim3(16), 4);
+    expectBothMatch(src, "shared_ld", Dim3(1), Dim3(15), {}, 4);
+    expectBothMatch(src, "shared_st", Dim3(1), Dim3(15), {}, 4);
+}
+
+TEST(CompiledExec, UnsignedCompareOnSignedAndIntCvtEdges)
+{
+    // setp.lo/hs on .s32 compare unsigned; cvt between s32 and u32 keeps
+    // the bits at INT_MIN/UINT_MAX; widening, narrowing and int -> f32
+    // conversions against the interpreter's execCvt.
+    const char *src = R"(
+.visible .entry edges(.param .u64 in, .param .u64 out)
+{
+    .reg .u64 %rd<12>;
+    .reg .u32 %r<8>;
+    .reg .s32 %s<8>;
+    .reg .f32 %f<4>;
+    .reg .pred %p<6>;
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd3, %r1, 8;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.s32 %s1, [%rd4];
+    ld.global.s32 %s2, [%rd4+4];
+    setp.lo.s32 %p1, %s1, %s2;
+    setp.hs.s32 %p2, %s1, %s2;
+    setp.lt.s32 %p3, %s1, %s2;
+    setp.ls.s32 %p4, %s1, -1;
+    setp.hi.s32 %p5, %s1, %s2;
+    selp.u32 %r2, 1, 0, %p1;
+    selp.u32 %r3, 2, 0, %p2;
+    add.u32 %r2, %r2, %r3;
+    selp.u32 %r3, 4, 0, %p3;
+    add.u32 %r2, %r2, %r3;
+    selp.u32 %r3, 8, 0, %p4;
+    add.u32 %r2, %r2, %r3;
+    selp.u32 %r3, 16, 0, %p5;
+    add.u32 %r2, %r2, %r3;
+    cvt.u32.s32 %r4, %s1;
+    cvt.s32.u32 %s3, %r4;
+    cvt.s64.s32 %rd5, %s1;
+    cvt.u64.u32 %rd6, %r4;
+    cvt.u64.s32 %rd7, %s2;
+    cvt.s64.u32 %rd8, %r4;
+    cvt.rn.f32.s32 %f1, %s1;
+    cvt.rn.f32.u32 %f2, %r4;
+    cvt.rz.f32.u32 %f3, %r4;
+    cvt.u32.u64 %r5, %rd7;
+    cvt.s32.s64 %s4, %rd8;
+    mul.wide.u32 %rd9, %r1, 64;
+    add.u64 %rd10, %rd2, %rd9;
+    st.global.u32 [%rd10], %r2;
+    st.global.s32 [%rd10+4], %s3;
+    st.global.u64 [%rd10+8], %rd5;
+    st.global.u64 [%rd10+16], %rd6;
+    st.global.u64 [%rd10+24], %rd7;
+    st.global.u64 [%rd10+32], %rd8;
+    st.global.f32 [%rd10+40], %f1;
+    st.global.f32 [%rd10+44], %f2;
+    st.global.f32 [%rd10+48], %f3;
+    st.global.u32 [%rd10+52], %r5;
+    st.global.s32 [%rd10+56], %s4;
+    ret;
+}
+)";
+    const uint32_t vals[] = {0x80000000u, 0xffffffffu, 0x7fffffffu, 0u,
+                             1u,          0xfffffffeu, 0x80000001u, 16777217u};
+    std::vector<uint32_t> in;
+    for (unsigned t = 0; t < 32; t++) {
+        in.push_back(vals[t % 8]);
+        in.push_back(vals[(t / 8 + t) % 8]);
+    }
+    const Image img =
+        expectBothMatch(src, "edges", Dim3(1), Dim3(32), asBytes(in), 32 * 64);
+    // Lane 0: INT_MIN vs itself. Unsigned and signed agree on equality.
+    uint32_t flags0, flags1;
+    std::memcpy(&flags0, img.out.data(), 4);
+    EXPECT_EQ(flags0, 2u | 8u); // hs, ls -1 (0x80000000 <= 0xffffffff)
+    // Lane 9: UINT_MAX (-1) vs INT_MAX: less signed, higher unsigned.
+    std::memcpy(&flags1, img.out.data() + 9 * 64, 4);
+    EXPECT_EQ(flags1, 2u | 4u | 8u | 16u);
+    int64_t sext;
+    std::memcpy(&sext, img.out.data() + 8, 8);
+    EXPECT_EQ(sext, int64_t(INT32_MIN));
+}
+
+TEST(CompiledExec, SpecialRegistersInPartialLastWarp)
+{
+    // A 6x4x2 block is 48 threads: warp 1 has 16 live lanes, and its
+    // %tid.y/%tid.z step across rows and planes inside the warp.
+    const char *src = R"(
+.visible .entry sregs(.param .u64 out)
+{
+    .reg .u64 %rd<6>;
+    .reg .u32 %r<16>;
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    mov.u32 %r2, %tid.y;
+    mov.u32 %r3, %tid.z;
+    mov.u32 %r4, %ntid.x;
+    mov.u32 %r5, %ntid.y;
+    mov.u32 %r6, %ctaid.x;
+    mov.u32 %r7, %nctaid.x;
+    mov.u32 %r8, %laneid;
+    mov.u32 %r9, %warpid;
+    mad.lo.u32 %r10, %r3, %r5, %r2;
+    mad.lo.u32 %r10, %r10, %r4, %r1;
+    mul.lo.u32 %r11, %r6, 48;
+    add.u32 %r11, %r11, %r10;
+    mul.wide.u32 %rd2, %r11, 16;
+    add.u64 %rd3, %rd1, %rd2;
+    st.global.v4.u32 [%rd3], {%r1, %r2, %r3, %r8};
+    ret;
+}
+)";
+    const Image img =
+        expectBothMatch(src, "sregs", Dim3(2), Dim3(6, 4, 2), {}, 96 * 16);
+    for (unsigned cta = 0; cta < 2; cta++) {
+        for (unsigned t = 0; t < 48; t++) {
+            uint32_t v[4];
+            std::memcpy(v, img.out.data() + (cta * 48 + t) * 16, 16);
+            EXPECT_EQ(v[0], t % 6) << "tid " << t;
+            EXPECT_EQ(v[1], (t / 6) % 4) << "tid " << t;
+            EXPECT_EQ(v[2], t / 24) << "tid " << t;
+            EXPECT_EQ(v[3], t % 32) << "tid " << t;
+        }
+    }
 }
 
 // ---- backend selection plumbing ----

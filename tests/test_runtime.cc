@@ -63,6 +63,26 @@ DONE:
 }
 )";
 
+TEST(Runtime, KernelArgsPackNaturalAlignment)
+{
+    // Each value starts at a multiple of its own size; the gap before it is
+    // zero. These bytes are what the parser's .param layout reads.
+    KernelArgs args;
+    args.u32(0xa1b2c3d4u)
+        .ptr(0x1122334455667788ull)
+        .f32(1.0f)
+        .add<uint64_t>(0x0102030405060708ull)
+        .s32(-2);
+    const std::vector<uint8_t> expect = {
+        0xd4, 0xc3, 0xb2, 0xa1, 0x00, 0x00, 0x00, 0x00, // u32, pad
+        0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // u64
+        0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x00, // f32 1.0, pad
+        0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // u64
+        0xfe, 0xff, 0xff, 0xff,                         // s32 -2
+    };
+    EXPECT_EQ(args.bytes(), expect);
+}
+
 TEST(Runtime, LaunchByNameAndHandle)
 {
     Context ctx;
