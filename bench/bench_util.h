@@ -8,15 +8,17 @@
 #ifndef MLGS_BENCH_BENCH_UTIL_H
 #define MLGS_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "cudnn/cudnn.h"
-#include "func/exec_mode.h"
 #include "power/power_model.h"
 #include "sample/options.h"
 #include "stats/aerial.h"
@@ -27,9 +29,9 @@ namespace mlgs::bench
 
 /**
  * Build/environment stamp embedded in every BENCH_*.json ("build_meta" key):
- * results are meaningless to compare across compilers, build types, or
- * resolved execution/timing modes, so each artifact records the ones it was
- * produced under.
+ * results are meaningless to compare across compilers, CMake build types, or
+ * resolved timing modes, so each artifact records the ones it was produced
+ * under.
  */
 inline std::string
 buildMetaJson(int device_count = 1)
@@ -42,21 +44,30 @@ buildMetaJson(int device_count = 1)
 #else
         "unknown";
 #endif
-    const char *build_type =
-#ifdef NDEBUG
-        "release";
-#else
-        "debug";
-#endif
     std::ostringstream os;
     os << "{\"compiler\": \"" << compiler << "\", \"build_type\": \""
-       << build_type << "\", \"exec_mode\": \""
-       << func::execModeName(func::resolveExecMode(func::ExecMode::Auto))
-       << "\", \"timing_mode\": \""
+       << MLGS_BUILD_TYPE << "\", \"timing_mode\": \""
        << sample::timingModeName(
               sample::resolveTimingMode(sample::TimingMode::Auto))
        << "\", \"device_count\": " << device_count << "}";
     return os.str();
+}
+
+/** CPU seconds of the calling thread (the simulator runs on it). */
+inline double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
+
+/** Median of interleaved-trial readings (the upper one for an even count). */
+inline double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
 }
 
 /** The conv_sample problem (paper Section V; sizes scaled per DESIGN.md). */

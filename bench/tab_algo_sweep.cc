@@ -6,15 +6,19 @@
  * scheduling and FR-FCFS vs FCFS DRAM scheduling.
  *
  * `tab_algo_sweep --replay [N]` runs the same sweep through the trace
- * subsystem instead: each configuration is recorded once and replayed N
- * times (default 5) straight from the trace, with every replay's timing
- * totals checked bitwise against the live run. Emits
- * BENCH_trace_replay.json with the record-once-replay-N speedup.
+ * subsystem instead: each configuration is recorded once, then run live and
+ * replayed straight from the trace in N interleaved trials (default 5), with
+ * every run's timing totals checked bitwise against the first live run.
+ * Runs are timed in thread CPU seconds. Emits BENCH_trace_replay.json with
+ * the median per-trial replay/live ratio, its range, and the
+ * record-once-replay-N speedup.
  */
-#include <chrono>
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <vector>
 
 #include "bench/trace_workloads.h"
 
@@ -57,14 +61,6 @@ sweep(Pass pass, const char *title, const std::vector<int> &algos)
 }
 
 // ---- trace-replay mode (--replay [N]) ----
-
-double
-msSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 bool
 totalsEqual(const timing::TimingTotals &a, const timing::TimingTotals &b)
@@ -114,34 +110,28 @@ sweepSpecs()
 }
 
 int
-replaySweep(int repeat)
+replaySweep(int trials)
 {
     printHeader("Algo sweep (trace replay)",
                 "record each configuration once, replay from the trace");
-    std::printf("  %d replays per configuration, every replay checked "
-                "bitwise against the live run\n\n", repeat);
+    std::printf("  %d interleaved live/replay trials per configuration, "
+                "thread CPU time, every run checked bitwise against the "
+                "first live run\n\n", trials);
     std::printf("  %-10s %-32s %10s %10s %10s %8s\n", "pass", "algorithm",
                 "live ms", "record ms", "replay ms", "speedup");
 
     double live_total = 0, record_total = 0, replay_total = 0;
+    // Per-trial sweep totals: trial t sums every configuration's t-th run.
+    std::vector<double> live_trial(size_t(trials), 0.0);
+    std::vector<double> replay_trial(size_t(trials), 0.0);
     std::string rows;
     bool all_match = true;
 
     for (const auto &spec : sweepSpecs()) {
-        // Live run: exactly what the live sweep does per configuration —
-        // frontend + simulation with the AerialVision sampler attached.
-        const auto t_live = std::chrono::steady_clock::now();
-        timing::TimingTotals live;
-        {
-            const auto res = runConvSample(spec.pass, spec.algo, spec.shape,
-                                           256, spec.sched, spec.frfcfs);
-            live = res.totals;
-        }
-        const double live_ms = msSince(t_live);
-
-        // Record run: same work with a TraceRecorder observing, also
+        // Record run: the live workload with a TraceRecorder observing, also
         // capturing the warp instruction streams for trace-driven replay.
-        const auto t_rec = std::chrono::steady_clock::now();
+        // It doubles as the warm-up of this configuration's trials.
+        const double t_rec = threadCpuSeconds();
         trace::TraceFile trace;
         std::shared_ptr<const func::WarpStreamCache> streams;
         {
@@ -153,41 +143,59 @@ replaySweep(int repeat)
             trace = rec.finalize();
             streams = rec.warpStreams();
         }
-        const double record_ms = msSince(t_rec);
+        const double record_ms = (threadCpuSeconds() - t_rec) * 1e3;
 
-        // Replay runs: trace-driven timing-only — no frontend and no
-        // functional interpretation in the loop. A replayer fatal (address /
-        // payload fidelity assert) must not abort the sweep after the record
-        // phase succeeded: count it as a mismatch so the JSON is still
-        // written and the process exit stays nonzero for CI.
+        // Interleaved trials, so a live run and its replay share host
+        // conditions. Live: exactly what the live sweep does per
+        // configuration — frontend + simulation with the AerialVision
+        // sampler attached. Replay: trace-driven timing-only, with no
+        // frontend and no functional execution in the loop. A replayer fatal
+        // (address / payload fidelity assert) must not abort the sweep: count
+        // it as a mismatch so the JSON is still written and the process exit
+        // stays nonzero for CI.
         const trace::TraceReplayer rep(std::move(trace));
-        double replay_ms = 0;
+        std::vector<double> live_ms, replay_ms;
+        std::optional<timing::TimingTotals> first_live;
         bool match = true;
         std::string replay_error;
-        for (int i = 0; i < repeat; i++) {
-            const auto t0 = std::chrono::steady_clock::now();
+        for (int t = 0; t < trials; t++) {
+            double t0 = threadCpuSeconds();
+            const timing::TimingTotals live =
+                runConvSample(spec.pass, spec.algo, spec.shape, 256,
+                              spec.sched, spec.frfcfs)
+                    .totals;
+            live_ms.push_back((threadCpuSeconds() - t0) * 1e3);
+            if (!first_live)
+                first_live = live;
+            match = match && totalsEqual(*first_live, live);
+
+            t0 = threadCpuSeconds();
             try {
                 const auto run = replayTrace(rep, nullptr, streams.get());
-                match = match && totalsEqual(live, run.totals);
+                match = match && totalsEqual(*first_live, run.totals);
             } catch (const std::exception &e) {
                 match = false;
                 replay_error = e.what();
             }
-            replay_ms += msSince(t0);
+            replay_ms.push_back((threadCpuSeconds() - t0) * 1e3);
+            live_trial[size_t(t)] += live_ms.back();
+            replay_trial[size_t(t)] += replay_ms.back();
         }
-        replay_ms /= repeat;
         all_match = all_match && match;
         if (!replay_error.empty())
             std::printf("  REPLAY FAILED: %s\n", replay_error.c_str());
 
-        live_total += live_ms;
+        const double live_med = median(live_ms);
+        const double replay_med = median(replay_ms);
+        live_total += live_med;
         record_total += record_ms;
-        replay_total += replay_ms;
+        replay_total += replay_med;
 
         const char *algo = convAlgoName(spec);
         std::printf("  %-10s %-32s %10.1f %10.1f %10.1f %7.1fx%s\n",
-                    passName(spec.pass), algo, live_ms, record_ms, replay_ms,
-                    live_ms / replay_ms, match ? "" : "  MISMATCH");
+                    passName(spec.pass), algo, live_med, record_ms,
+                    replay_med, live_med / replay_med,
+                    match ? "" : "  MISMATCH");
 
         char row[512];
         std::snprintf(row, sizeof row,
@@ -195,40 +203,47 @@ replaySweep(int repeat)
                       "\"live_ms\": %.3f, \"record_ms\": %.3f, "
                       "\"replay_ms\": %.3f, \"cycles\": %llu, "
                       "\"bitwise_match\": %s},\n",
-                      passName(spec.pass), algo, live_ms, record_ms,
-                      replay_ms, (unsigned long long)live.cycles,
+                      passName(spec.pass), algo, live_med, record_ms,
+                      replay_med, (unsigned long long)first_live->cycles,
                       match ? "true" : "false");
         rows += row;
     }
     if (!rows.empty())
         rows.erase(rows.size() - 2, 1); // trailing comma
 
+    std::vector<double> ratios;
+    for (int t = 0; t < trials; t++)
+        ratios.push_back(live_trial[size_t(t)] / replay_trial[size_t(t)]);
+    const double replay_speedup = median(ratios);
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
     // Sweep cost model: N live sweeps vs record-once + N replays.
-    const double live_n = live_total * repeat;
-    const double traced_n = record_total + replay_total * repeat;
-    const double replay_speedup = live_total / replay_total;
-    const double sweep_speedup = live_n / traced_n;
+    const double sweep_speedup =
+        live_total * trials / (record_total + replay_total * trials);
 
     std::ofstream os("BENCH_trace_replay.json", std::ios::binary);
     os << "{\n"
        << "  \"build_meta\": " << buildMetaJson() << ",\n"
-       << "  \"repeat\": " << repeat << ",\n"
+       << "  \"repeat\": " << trials << ",\n"
        << "  \"replay_mode\": \"timing_only_warp_stream\",\n"
+       << "  \"timer\": \"thread_cpu\",\n"
        << "  \"all_bitwise_match\": " << (all_match ? "true" : "false")
        << ",\n"
        << "  \"live_ms_total\": " << live_total << ",\n"
        << "  \"record_ms_total\": " << record_total << ",\n"
        << "  \"replay_ms_total\": " << replay_total << ",\n"
        << "  \"replay_speedup_vs_live\": " << replay_speedup << ",\n"
+       << "  \"replay_speedup_vs_live_range\": [" << *lo << ", " << *hi
+       << "],\n"
        << "  \"sweep_speedup_record_once_replay_n\": " << sweep_speedup
        << ",\n"
        << "  \"rows\": [\n"
        << rows << "  ]\n"
        << "}\n";
 
-    std::printf("\n  per-run replay speedup: %.1fx; %d-replay sweep "
-                "(record once): %.1fx vs live re-execution\n",
-                replay_speedup, repeat, sweep_speedup);
+    std::printf("\n  replay speedup vs live: %.2fx (median of %d trials, "
+                "range %.2f-%.2f); %d-replay sweep (record once): %.2fx vs "
+                "live re-execution\n",
+                replay_speedup, trials, *lo, *hi, trials, sweep_speedup);
     std::printf("  all replays bitwise-identical to live: %s\n",
                 all_match ? "yes" : "NO");
     std::printf("  wrote BENCH_trace_replay.json\n");

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ctime>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -33,12 +32,11 @@ struct WorkloadCounts
 
 /** A mid-sized conv workload used for mode-speed comparison. */
 WorkloadCounts
-runConvWorkload(cuda::SimMode mode, func::ExecMode exec = func::ExecMode::Auto)
+runConvWorkload(cuda::SimMode mode)
 {
     cuda::ContextOptions opts;
     opts.mode = mode;
     opts.gpu = timing::GpuConfig::gtx1050();
-    opts.exec_mode = exec;
     cuda::Context ctx(opts);
     cudnn::CudnnHandle h(ctx);
 
@@ -198,28 +196,11 @@ BENCHMARK(BM_FullPerformanceRun)->Unit(benchmark::kMillisecond);
  */
 constexpr int kTrials = 7;
 
-/** CPU seconds of the calling thread (the simulator runs on it). */
-double
-threadCpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
-}
-
-double
-median(std::vector<double> v)
-{
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-}
-
 /** One timed configuration of the conv workload. */
 struct SpeedPoint
 {
     const char *label;
     cuda::SimMode mode;
-    func::ExecMode exec;
     int runs_per_trial; ///< fixed work per trial, sized to ~1 s or more
     std::vector<double> run_seconds{}; ///< CPU seconds per run, per trial
     WorkloadCounts counts{};
@@ -230,7 +211,7 @@ struct SpeedPoint
     {
         const double t0 = threadCpuSeconds();
         for (int r = 0; r < runs_per_trial; r++)
-            counts = runConvWorkload(mode, exec);
+            counts = runConvWorkload(mode);
         run_seconds.push_back((threadCpuSeconds() - t0) / runs_per_trial);
         return run_seconds.back();
     }
@@ -313,18 +294,8 @@ main(int argc, char **argv)
     // Section III-F: how much slower performance mode simulates than
     // functional mode, in warp-instrs/sec.
     writeSpeedJson("BENCH_sim_speed.json", kWorkload, "mode",
-                   {"performance", cuda::SimMode::Performance,
-                    func::ExecMode::Auto, 4},
-                   {"functional", cuda::SimMode::Functional,
-                    func::ExecMode::Auto, 10},
+                   {"performance", cuda::SimMode::Performance, 4},
+                   {"functional", cuda::SimMode::Functional, 10},
                    "slowdown_performance_vs_functional");
-    // Functional-mode backend effect: decode-once compiled executor against
-    // the reference interpreter.
-    writeSpeedJson("BENCH_compiled_exec.json", kWorkload, "backend",
-                   {"interp", cuda::SimMode::Functional,
-                    func::ExecMode::Interp, 3},
-                   {"compiled", cuda::SimMode::Functional,
-                    func::ExecMode::Compiled, 10},
-                   "speedup_compiled_vs_interp");
     return 0;
 }

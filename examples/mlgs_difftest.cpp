@@ -34,7 +34,6 @@ usage()
 {
     std::puts(
         "usage: mlgs-difftest [--seed N] [--count M]\n"
-        "                     [--exec interp|compiled|both]\n"
         "                     [--inject rem|bfe|fma] [--minimize]\n"
         "                     [--dump DIR] [--repro BASE]");
     return 2;
@@ -78,17 +77,7 @@ main(int argc, char **argv)
             dump_dir = next();
         else if (a == "--repro")
             repro = next();
-        else if (a == "--exec") {
-            const std::string which = next();
-            if (which == "interp")
-                opts.exec = DiffExec::Interp;
-            else if (which == "compiled")
-                opts.exec = DiffExec::Compiled;
-            else if (which == "both")
-                opts.exec = DiffExec::Both;
-            else
-                return usage();
-        } else if (a == "--inject") {
+        else if (a == "--inject") {
             const std::string which = next();
             if (which == "rem")
                 opts.inject.legacy_rem = true;
@@ -134,12 +123,10 @@ main(int argc, char **argv)
             const DiffResult r = runKernel(gk, opts);
 
             if (opts.inject.anyEnabled()) {
-                std::printf("seed %llu: injected run %s%s%s\n",
+                std::printf("seed %llu: injected run %s\n",
                             (unsigned long long)s,
                             r.injected_diverged ? "diverged (detected)"
-                                                : "did NOT diverge",
-                            r.diverged_backend.empty() ? "" : " on ",
-                            r.diverged_backend.c_str());
+                                                : "did NOT diverge");
                 if (!r.injected_diverged)
                     continue;
                 divergences++;
@@ -152,7 +139,7 @@ main(int argc, char **argv)
                 if (!dump_dir.empty()) {
                     const std::string base = dump_dir + "/difftest_seed_" +
                                              std::to_string(s);
-                    dumpReproducer(gk, opts, base, &r);
+                    dumpReproducer(gk, opts, base);
                     std::printf("seed %llu: reproducer at %s.{ptx,json}\n",
                                 (unsigned long long)s, base.c_str());
                 }
@@ -174,7 +161,7 @@ main(int argc, char **argv)
                         const std::string base = dump_dir +
                                                  "/difftest_seed_" +
                                                  std::to_string(s);
-                        dumpReproducer(gk, opts, base, &r);
+                        dumpReproducer(gk, opts, base);
                         std::printf("seed %llu: reproducer at "
                                     "%s.{ptx,json}\n",
                                     (unsigned long long)s, base.c_str());

@@ -15,18 +15,9 @@
 
 #include "difftest/kernel_gen.h"
 #include "func/bug_model.h"
-#include "func/exec_mode.h"
 
 namespace mlgs::difftest
 {
-
-/** Which functional backend(s) the engine side of the comparison uses. */
-enum class DiffExec : uint8_t
-{
-    Interp,   ///< reference interpreter only
-    Compiled, ///< compiled micro-op executor only
-    Both,     ///< run every cross-check once per backend
-};
 
 /** Knobs for one differential run. */
 struct DiffOptions
@@ -43,15 +34,6 @@ struct DiffOptions
      * flag and record whether each injection is detectable (diverges).
      */
     bool check_bug_detectability = true;
-
-    /**
-     * Functional backend(s) under test. The default (Both) runs the
-     * serial/race cross-checks once per backend, so every fuzz
-     * seed validates the interpreter *and* the compiled executor against
-     * RefExec; bug detectability is probed on the compiled backend (the
-     * production default — the flags are baked in at lowering time there).
-     */
-    DiffExec exec = DiffExec::Both;
 };
 
 /** Outcome of one kernel's differential run. */
@@ -68,13 +50,6 @@ struct DiffResult
 
     bool ok = false;        ///< all clean-path checks passed
     std::string failure;    ///< first failing check, human-readable
-
-    /**
-     * Backend name(s) ("interp", "compiled", "interp+compiled") whose run
-     * failed a clean-path check or, with opts.inject, diverged from the
-     * reference. Empty when no engine run misbehaved.
-     */
-    std::string diverged_backend;
 };
 
 /** Differential run of already-rendered PTX text (reproducer path). */
@@ -107,14 +82,11 @@ unsigned minimize(GenKernel &gk, const DiffOptions &opts);
 
 /**
  * Write `base`.ptx (rendered kernel honouring minimizer state) and
- * `base`.json (launch shape, data seed, injection flags, backend selection)
- * — everything `mlgs-difftest --repro base` needs to re-run the failure.
- * When `result` is given, its diverged_backend is recorded so the artifact
- * names the backend that misbehaved.
+ * `base`.json (launch shape, data seed, injection flags) — everything
+ * `mlgs-difftest --repro base` needs to re-run the failure.
  */
 void dumpReproducer(const GenKernel &gk, const DiffOptions &opts,
-                    const std::string &base,
-                    const DiffResult *result = nullptr);
+                    const std::string &base);
 
 /** Re-run a reproducer dumped by dumpReproducer. */
 DiffResult runReproducer(const std::string &base);

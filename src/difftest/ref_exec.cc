@@ -498,14 +498,16 @@ RefExec::loadBytes(addr_t addr, void *out, size_t n,
     if (space == Space::Param ||
         (space == Space::None && inParamWindow(addr))) {
         const addr_t off = addr - kParamBase;
-        MLGS_REQUIRE(off + n <= params_.size(), "RefExec: param OOB read");
+        MLGS_REQUIRE(off <= params_.size() && n <= params_.size() - off,
+                     "RefExec: param OOB read");
         std::memcpy(out, params_.data() + off, n);
         return;
     }
     if (space == Space::Shared ||
         (space == Space::None && inSharedWindow(addr))) {
         const addr_t off = addr - kSharedBase;
-        MLGS_REQUIRE(off + n <= shared.size(), "RefExec: shared OOB read");
+        MLGS_REQUIRE(off <= shared.size() && n <= shared.size() - off,
+                     "RefExec: shared OOB read");
         std::memcpy(out, shared.data() + off, n);
         return;
     }
@@ -525,7 +527,8 @@ RefExec::storeBytes(addr_t addr, const void *src, size_t n,
     if (space == Space::Shared ||
         (space == Space::None && inSharedWindow(addr))) {
         const addr_t off = addr - kSharedBase;
-        MLGS_REQUIRE(off + n <= shared.size(), "RefExec: shared OOB write");
+        MLGS_REQUIRE(off <= shared.size() && n <= shared.size() - off,
+                     "RefExec: shared OOB write");
         std::memcpy(shared.data() + off, src, n);
         return;
     }

@@ -2,10 +2,10 @@
  * @file
  * The compiled micro-op executor. Dispatch is a flat table of per-kind
  * handlers over the lowered uop stream (ptx/uop.h): control kinds are
- * handled inline by the dispatch loop, generic kinds funnel into the shared
- * scalar semantics (func/exec_semantics.h) — the same code the interpreter
- * runs — and the specialized kinds are dense 32-lane loops over pre-resolved
- * register slots, structured so the compiler can unroll/vectorize them.
+ * handled inline by the dispatch loop, generic kinds funnel into the scalar
+ * semantics (func/exec_semantics.h), and the specialized kinds are dense
+ * 32-lane loops over pre-resolved register slots, structured so the compiler
+ * can unroll/vectorize them.
  *
  * The batch loop (runWarp) additionally exploits the basic-block structure
  * the lowering pass marked via `ends_block`: within a block the active mask
@@ -23,6 +23,7 @@
 #include "func/engine.h"
 #include "func/exec_semantics.h"
 #include "func/interpreter.h"
+#include "func/site_profiler.h"
 #include "ptx/uop.h"
 
 namespace mlgs::func::compiled
@@ -55,6 +56,7 @@ struct ExecCtx
     RegVal *regs = nullptr;            ///< the warp's [reg][lane] block
     WarpStepResult *res = nullptr;     ///< single-step mode: access sink
     FuncStats *stats = nullptr;        ///< batch mode: direct accumulation
+    SiteProfiler *prof = nullptr;      ///< single-step mode: shared lanes
 };
 
 ExecCtx
@@ -89,7 +91,7 @@ struct LaneRegs
     }
 };
 
-/** Guard-predicate evaluation, identical to the interpreter's. */
+/** Guard-predicate evaluation: lanes of `mask` whose guard holds. */
 warp_mask_t
 predMask(const Uop &u, warp_mask_t mask, const ExecCtx &ctx)
 {
@@ -130,7 +132,7 @@ runtimeSym(const ExecCtx &ctx, int32_t sym)
     fatal("unresolved symbol '", name, "' in kernel ", ctx.env->kernel->name);
 }
 
-/** Generic scalar source read (mirrors Interpreter::readOperand). */
+/** Generic scalar source read. */
 RegVal
 srcVal(const ExecCtx &ctx, const UopSrc &s, unsigned lane, LaneRegs r)
 {
@@ -150,7 +152,7 @@ srcVal(const ExecCtx &ctx, const UopSrc &s, unsigned lane, LaneRegs r)
         v.u64 = runtimeSym(ctx, s.sym);
         return v;
       default:
-        return v; // None: zeroed, like the interpreter's absent operands
+        return v; // None: an absent operand reads as zero
     }
 }
 
@@ -164,8 +166,7 @@ srcRI(const UopSrc &s, LaneRegs r)
 /**
  * A memory operand's per-lane address. A symbol base is lane-uniform and
  * resolved once per warp instruction; callers build this only when a lane
- * is active, so an unresolved symbol fails exactly when the interpreter's
- * would.
+ * is active, so an unresolved symbol fails only when a lane would use it.
  */
 struct LaneAddr
 {
@@ -178,7 +179,7 @@ struct LaneAddr
         return base_reg >= 0 ? r[size_t(base_reg)].u64 + off : off;
     }
 
-    /** With generic-space resolution (mirrors Interpreter::resolveAddr). */
+    /** With generic-space resolution of an undeclared space. */
     Ea
     resolve(Space declared, LaneRegs r) const
     {
@@ -200,8 +201,8 @@ laneAddr(const ExecCtx &ctx, const UopMem &m)
 /**
  * Book-keep one lane's ld/st. Single-step mode pushes the access for the
  * engine's FuncStats::accumulate; batch mode applies the exact same
- * accumulation directly (bytes only for global/const, shared counts +
- * race shadow for shared, nothing for param).
+ * accumulation directly (bytes only for global/const, shared counts, race
+ * shadow and site profiler for shared, nothing for param).
  */
 void
 recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
@@ -223,6 +224,8 @@ recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
             ctx.res->shared_accesses++;
         else if (ctx.stats)
             ctx.stats->shared_accesses++;
+        if (ctx.prof)
+            ctx.prof->noteSharedLane(ea.addr - kSharedBase, bytes);
         if (RaceShadow *rs = ctx.cta->raceShadow())
             rs->onAccess(size_t(ea.addr - kSharedBase), bytes, tid, u.pc,
                          u.line, is_store);
@@ -370,6 +373,9 @@ hAtom(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
                 ctx.res->shared_accesses++;
             else if (ctx.stats)
                 ctx.stats->shared_accesses++;
+            if (ctx.prof)
+                ctx.prof->noteSharedLane(ea.addr - kSharedBase,
+                                         ptx::typeSize(u.type));
         } else if (ctx.res) {
             ctx.res->accesses.push_back(MemAccess{
                 ea.addr, ptx::typeSize(u.type), true, true, ea.space});
@@ -386,7 +392,7 @@ void
 hTex(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
     if (!exec)
-        return; // the interpreter's lane loop never reaches the lookups
+        return; // no active lane: the texture lookups are never reached
     MLGS_REQUIRE(ctx.env->textures,
                  "texture instruction without texture table");
     const std::string &name = ctx.prog->syms[size_t(u.mem.sym)];
@@ -607,7 +613,7 @@ void
 hFMad32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
     // Exactly the generic mad.f32: the product is rounded to f32 (canonical
-    // NaN applied) before the add — two roundings, like the interpreter.
+    // NaN applied) before the add — two roundings.
     MLGS_LANE_LOOP({
         const RegVal prod =
             makeF(Type::F32,
@@ -801,9 +807,9 @@ hCvtF32U32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 // loadTyped + writeTyped set exactly the low `E` bytes of each destination
 // cell (the typed union field), and storeTyped writes the low `E` bytes of
 // each value, so a lane's data moves as raw bytes with no per-lane type
-// switch. Accesses run in lane order, so overlapping lanes resolve as in the
-// interpreter, and single-step mode records one MemAccess per lane in lane
-// order: the timing model coalesces lines in that order.
+// switch. Accesses run in lane order, so the higher of two overlapping lanes
+// wins, and single-step mode records one MemAccess per lane in lane order:
+// the timing model coalesces lines in that order.
 
 static_assert(std::endian::native == std::endian::little,
               "raw-byte lane copies assume the typed fields are the low bytes");
@@ -988,14 +994,17 @@ hLdShared(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
     const LaneAddr addr = laneAddr(ctx, u.mem);
     const std::vector<uint8_t> &shared = ctx.cta->shared();
     RaceShadow *rs = ctx.cta->raceShadow();
+    SiteProfiler *prof = ctx.prof;
     byElemSize(u.type, [&](auto esz) {
         constexpr unsigned E = decltype(esz)::value;
         MLGS_LANE_LOOP({
             const addr_t off = addr(r) - kSharedBase;
-            MLGS_REQUIRE(off + bytes <= shared.size(),
+            MLGS_REQUIRE(inWindow(off, bytes, shared.size()),
                          "shared read out of bounds in ",
                          ctx.env->kernel->name, " offset ", off);
             putLoaded<E>(u, r, shared.data() + off);
+            if (prof)
+                prof->noteSharedLane(off, bytes);
             if (rs)
                 rs->onAccess(size_t(off), bytes, ctx.tid0 + lane, u.pc,
                              u.line, false);
@@ -1013,15 +1022,18 @@ hStShared(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
     const LaneAddr addr = laneAddr(ctx, u.mem);
     std::vector<uint8_t> &shared = ctx.cta->shared();
     RaceShadow *rs = ctx.cta->raceShadow();
+    SiteProfiler *prof = ctx.prof;
     byElemSize(u.type, [&](auto esz) {
         constexpr unsigned E = decltype(esz)::value;
         MLGS_LANE_LOOP({
             const addr_t off = addr(r) - kSharedBase;
             uint8_t vals[32];
             getStored<E>(u, ctx, lane, r, vals);
-            MLGS_REQUIRE(off + bytes <= shared.size(),
+            MLGS_REQUIRE(inWindow(off, bytes, shared.size()),
                          "shared write out of bounds offset ", off);
             std::memcpy(shared.data() + off, vals, bytes);
+            if (prof)
+                prof->noteSharedLane(off, bytes);
             if (rs)
                 rs->onAccess(size_t(off), bytes, ctx.tid0 + lane, u.pc,
                              u.line, true);
@@ -1040,7 +1052,7 @@ hLdParam(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
     const std::vector<uint8_t> &params = ctx.env->params;
     auto at = [&](addr_t a) {
         const addr_t off = a - kParamBase;
-        MLGS_REQUIRE(off + bytes <= params.size(),
+        MLGS_REQUIRE(inWindow(off, bytes, params.size()),
                      "param read out of bounds in ", ctx.env->kernel->name);
         return params.data() + off;
     };
@@ -1129,6 +1141,7 @@ stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env,
     const Uop &u = prog.uops[pc];
     const warp_mask_t mask = st.activeMask();
     ExecCtx ctx = makeCtx(interp, cta, env, prog, warp);
+    ctx.prof = interp.siteProfiler();
     const warp_mask_t exec = predMask(u, mask, ctx);
 
     res.ins = &env.kernel->instrs[pc];

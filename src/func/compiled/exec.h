@@ -4,17 +4,17 @@
  * kernel was lowered into (ptx/uop.h) instead of re-decoding parsed
  * instructions each step. Two entry points:
  *
- *  - stepWarp(): single-instruction step with the exact WarpStepResult
- *    contract of Interpreter::stepWarpExec — used by the timing model and
- *    whenever a warp-stream cache is attached (record keeps its per-step
- *    granularity).
+ *  - stepWarp(): single-instruction step filling the WarpStepResult of
+ *    Interpreter::stepWarp — used by the timing model and whenever a
+ *    warp-stream cache or a site profiler is attached (both need per-step
+ *    granularity; the profiler also gets each lane's shared address).
  *  - runWarp(): the batched fast path for the pure-functional engine — runs
  *    the warp until it finishes, reaches a barrier, or hits the instruction
  *    limit, folding stats in directly and walking straight-line basic-block
  *    spans without touching the SIMT stack.
  *
- * Both are bitwise identical to the interpreter on register files, memory
- * and every FuncStats field.
+ * The two are bitwise identical on register files, memory and every
+ * FuncStats field; difftest::RefExec is the independent reference for both.
  */
 #ifndef MLGS_FUNC_COMPILED_EXEC_H
 #define MLGS_FUNC_COMPILED_EXEC_H
@@ -43,8 +43,7 @@ void stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp,
 
 /**
  * Run a warp until done, at a barrier, or at the per-warp instruction limit.
- * `stats` may be null (checkpoint fast-forward discards counts, exactly like
- * the interpreter path).
+ * `stats` may be null (checkpoint fast-forward discards counts).
  */
 void runWarp(Interpreter &interp, CtaExec &cta, unsigned warp,
              const LaunchEnv &env, uint64_t max_instr_per_warp,

@@ -81,10 +81,9 @@ FunctionalEngine::runCta(CtaExec &cta, const LaunchEnv &env,
     Interpreter &interp = *interp_;
     if (interp.raceCheck())
         cta.enableRaceCheck();
-    // The compiled backend runs warps in batches (whole basic-block spans per
-    // dispatch) unless a warp-stream cache needs per-step granularity.
-    const bool batch =
-        interp.execMode() == ExecMode::Compiled && !interp.warpStreamActive();
+    // Warps run in batches (whole basic-block spans per dispatch) unless a
+    // warp-stream cache or a site profiler needs per-step granularity.
+    const bool batch = !interp.warpStreamActive() && !interp.siteProfiler();
     while (true) {
         if (cta.allDone()) {
             if (const RaceShadow *rs = cta.raceShadow()) {

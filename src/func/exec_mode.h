@@ -1,11 +1,11 @@
 /**
  * @file
- * Functional-execution backend selection. Two backends produce bitwise-
- * identical results: the reference interpreter (per-instruction decode) and
- * the compiled micro-op executor (decode-once lowering + threaded dispatch,
- * src/func/compiled/). Selection order: an explicit ContextOptions or
- * constructor choice wins, then the MLGS_EXEC environment variable
- * ("interp" / "compiled"), then the default (compiled).
+ * What is left of the functional-backend switch. The compiled micro-op
+ * executor (src/func/compiled/) is the only functional backend, so there is
+ * nothing to select and no environment variable is read. ExecMode, its
+ * resolver and its name remain only because perfbench/mlgs_perfbench.cc
+ * still pins and reports them (like ContextOptions::sim_threads); drop this
+ * header in the next benchmark-definition change.
  */
 #ifndef MLGS_FUNC_EXEC_MODE_H
 #define MLGS_FUNC_EXEC_MODE_H
@@ -15,19 +15,23 @@
 namespace mlgs::func
 {
 
-/** Which functional backend executes warp instructions. */
+/** The functional backend: always the compiled micro-op executor. */
 enum class ExecMode : uint8_t
 {
-    Auto,     ///< resolve from MLGS_EXEC, default Compiled
-    Interp,   ///< reference interpreter (ground truth)
-    Compiled, ///< lowered micro-op executor
+    Compiled,
 };
 
-/** Resolve Auto via MLGS_EXEC; explicit requests pass through unchanged. */
-ExecMode resolveExecMode(ExecMode requested);
+inline ExecMode
+resolveExecMode(ExecMode requested)
+{
+    return requested;
+}
 
-/** Printable backend name ("interp" / "compiled" / "auto"). */
-const char *execModeName(ExecMode mode);
+inline const char *
+execModeName(ExecMode)
+{
+    return "compiled";
+}
 
 } // namespace mlgs::func
 

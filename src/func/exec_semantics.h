@@ -1,13 +1,12 @@
 /**
  * @file
- * The scalar execution semantics of the PTX dialect, extracted from the
- * interpreter so the compiled micro-op executor (src/func/compiled/) runs the
- * exact same code paths. Everything here is deliberately deterministic down
- * to the bit: canonical NaN on computed float results, -0 < +0 min/max
- * ordering, partial-union register writes, f32 arithmetic via a double
- * round-trip. Both backends must stay bitwise identical on register files
- * and memory — that property is what the difftest corpus enforces — so any
- * change here changes both backends together.
+ * The scalar execution semantics of the PTX dialect, used by the generic
+ * handlers of the compiled micro-op executor (src/func/compiled/); its
+ * specialized handlers must agree with them bit for bit. Everything here is
+ * deliberately deterministic down to the bit: canonical NaN on computed
+ * float results, -0 < +0 min/max ordering, partial-union register writes,
+ * f32 arithmetic via a double round-trip. The difftest corpus checks the
+ * result against the independent reference (difftest::RefExec).
  */
 #ifndef MLGS_FUNC_EXEC_SEMANTICS_H
 #define MLGS_FUNC_EXEC_SEMANTICS_H
@@ -232,25 +231,6 @@ readSpecial(ptx::SReg sreg, const CtaExec &cta, unsigned tid)
     }
 }
 
-/** Kernel-static (shared/local/param) then module-symbol address lookup. */
-inline addr_t
-symbolAddr(const std::string &sym, const ptx::KernelDef &k,
-           const SymbolTable *symbols)
-{
-    if (const auto *sv = k.findShared(sym))
-        return kSharedBase + sv->offset;
-    if (const auto *lv = k.findLocal(sym))
-        return kLocalBase + lv->offset;
-    if (const auto *p = k.findParam(sym))
-        return kParamBase + p->offset;
-    if (symbols) {
-        const auto it = symbols->find(sym);
-        if (it != symbols->end())
-            return it->second;
-    }
-    fatal("unresolved symbol '", sym, "' in kernel ", k.name);
-}
-
 /** Resolved effective address. */
 struct Ea
 {
@@ -274,6 +254,17 @@ resolveSpace(ptx::Space sp, addr_t ea)
     return Space::Global;
 }
 
+/**
+ * `bytes` at window offset `off` lie inside a window of `size` bytes. `off`
+ * is an address minus the window base, so an address below the window wraps
+ * to a huge offset: the check must not add to it.
+ */
+inline bool
+inWindow(addr_t off, size_t bytes, size_t size)
+{
+    return off <= size && bytes <= size - off;
+}
+
 /** Typed load of `vec` elements from any state space. */
 inline void
 loadTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
@@ -289,14 +280,14 @@ loadTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
     switch (ea.space) {
       case Space::Param: {
         const addr_t off = ea.addr - kParamBase;
-        MLGS_REQUIRE(off + total <= env.params.size(),
+        MLGS_REQUIRE(inWindow(off, total, env.params.size()),
                      "param read out of bounds in ", env.kernel->name);
         std::memcpy(bytes, env.params.data() + off, total);
         break;
       }
       case Space::Shared: {
         const addr_t off = ea.addr - kSharedBase;
-        MLGS_REQUIRE(off + total <= cta.shared().size(),
+        MLGS_REQUIRE(inWindow(off, total, cta.shared().size()),
                      "shared read out of bounds in ", env.kernel->name,
                      " offset ", off);
         std::memcpy(bytes, cta.shared().data() + off, total);
@@ -304,7 +295,7 @@ loadTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
       }
       case Space::Local: {
         const addr_t off = ea.addr - kLocalBase;
-        MLGS_REQUIRE(off + total <= cta.localBytes(),
+        MLGS_REQUIRE(inWindow(off, total, cta.localBytes()),
                      "local read out of bounds");
         std::memcpy(bytes, cta.local(tid) + off, total);
         break;
@@ -396,14 +387,14 @@ storeTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
         fatal("stores to param space are not allowed");
       case Space::Shared: {
         const addr_t off = ea.addr - kSharedBase;
-        MLGS_REQUIRE(off + total <= cta.shared().size(),
+        MLGS_REQUIRE(inWindow(off, total, cta.shared().size()),
                      "shared write out of bounds offset ", off);
         std::memcpy(cta.shared().data() + off, bytes, total);
         break;
       }
       case Space::Local: {
         const addr_t off = ea.addr - kLocalBase;
-        MLGS_REQUIRE(off + total <= cta.localBytes(),
+        MLGS_REQUIRE(inWindow(off, total, cta.localBytes()),
                      "local write out of bounds");
         std::memcpy(cta.local(tid) + off, bytes, total);
         break;

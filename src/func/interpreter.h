@@ -4,12 +4,10 @@
  * shared by the pure-functional engine and by the timing model (which calls
  * stepWarp at issue time, GPGPU-Sim style).
  *
- * Two backends sit behind stepWarp(): the reference interpreter here
- * (per-instruction decode of the parsed IR) and the compiled micro-op
- * executor (src/func/compiled/, threaded dispatch over the lowered uop
- * stream from ptx/uop.h). Both run the shared scalar semantics in
- * func/exec_semantics.h and are bitwise identical on register files and
- * memory; ExecMode picks which one executes.
+ * stepWarp() either replays a recorded warp stream or executes through the
+ * compiled micro-op executor (src/func/compiled/: threaded dispatch over the
+ * lowered uop stream from ptx/uop.h). The independent ground truth it is
+ * checked against is difftest::RefExec, which shares no code with src/func.
  */
 #ifndef MLGS_FUNC_INTERPRETER_H
 #define MLGS_FUNC_INTERPRETER_H
@@ -19,7 +17,6 @@
 #include "func/bug_model.h"
 #include "func/coverage.h"
 #include "func/cta_exec.h"
-#include "func/exec_mode.h"
 #include "func/launch_env.h"
 #include "func/texture.h"
 #include "func/warp_step.h"
@@ -36,14 +33,10 @@ class SiteProfiler;
 class Interpreter
 {
   public:
-    explicit Interpreter(GpuMemory &mem, BugModel bugs = BugModel{},
-                         ExecMode mode = ExecMode::Auto)
-        : mem_(&mem), bugs_(bugs), mode_(resolveExecMode(mode))
+    explicit Interpreter(GpuMemory &mem, BugModel bugs = BugModel{})
+        : mem_(&mem), bugs_(bugs)
     {
     }
-
-    /** The resolved functional backend (never Auto). */
-    ExecMode execMode() const { return mode_; }
 
     /** Optional coverage collection (differential coverage debugging). */
     void setCoverage(CoverageMap *cov) { coverage_ = cov; }
@@ -88,13 +81,13 @@ class Interpreter
     bool raceCheck() const { return check_races_; }
 
     /**
-     * Attach a per-pc memory-site profiler (perf-lint agreement loop).
-     * Requires the interp backend (the profiler needs per-lane shared
-     * addresses only the reference interpreter surfaces) and forces both
-     * engines onto their serial paths. Pass nullptr to detach. Purely
-     * observational: simulation results are bitwise identical either way.
+     * Attach a per-pc memory-site profiler (perf-lint agreement loop). It
+     * forces the functional engine onto its single-step path, where the
+     * executor feeds it each lane's shared address. Pass nullptr to detach.
+     * Purely observational: simulation results are bitwise identical either
+     * way.
      */
-    void setSiteProfiler(SiteProfiler *prof);
+    void setSiteProfiler(SiteProfiler *prof) { profiler_ = prof; }
     SiteProfiler *siteProfiler() const { return profiler_; }
 
     /**
@@ -107,17 +100,11 @@ class Interpreter
                   WarpStepResult &res);
 
   private:
-    void stepWarpExec(CtaExec &cta, unsigned warp, const LaunchEnv &env,
-                      WarpStepResult &res);
     void replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env,
                     WarpStepResult &res);
 
-    void execLane(const ptx::Instr &ins, CtaExec &cta, unsigned tid,
-                  unsigned lane, const LaunchEnv &env, WarpStepResult &res);
-
     GpuMemory *mem_;
     BugModel bugs_;
-    ExecMode mode_;
     bool check_races_ = false;
     CoverageMap *coverage_ = nullptr;
     WarpStreamCache *record_streams_ = nullptr;

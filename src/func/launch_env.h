@@ -1,7 +1,6 @@
 /**
  * @file
- * Launch-time environment shared by both execution backends (the reference
- * interpreter and the compiled micro-op executor): kernel, packed params,
+ * Launch-time environment of the functional executor: kernel, packed params,
  * module symbol addresses and texture bindings.
  */
 #ifndef MLGS_FUNC_LAUNCH_ENV_H

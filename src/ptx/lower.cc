@@ -31,9 +31,9 @@ internSym(UopProgram &prog, const std::string &name)
 
 /**
  * Lower a scalar source operand. Immediates are converted to their typed bit
- * pattern exactly as Interpreter::readOperand would (FImm keyed on the
- * instruction type); kernel-static symbols resolve to (space, offset) in the
- * same shared -> local -> param order as Interpreter::symbolAddr.
+ * pattern (FImm keyed on the instruction type); kernel-static symbols resolve
+ * to (space, offset) in shared -> local -> param order, before any module
+ * symbol.
  */
 UopSrc
 lowerSrc(const KernelDef &k, const Instr &ins, const Operand &op,

@@ -13,8 +13,7 @@
  * about address-window bases or the functional engine. Static symbols are
  * stored as (space, offset) pairs and runtime symbols (module globals,
  * texrefs) as indices into UopProgram::syms; the executor in src/func folds
- * window bases and resolves names against the launch environment, keeping
- * generic-space resolution identical to the interpreter's.
+ * window bases and resolves names against the launch environment.
  */
 #ifndef MLGS_PTX_UOP_H
 #define MLGS_PTX_UOP_H

@@ -13,7 +13,7 @@ namespace mlgs::cuda
 {
 
 Context::Device::Device(const ContextOptions &opts)
-    : interp(mem, opts.bugs, opts.exec_mode),
+    : interp(mem, opts.bugs),
       func_engine(interp),
       gpu(std::make_unique<timing::GpuModel>(opts.gpu, interp))
 {

@@ -34,6 +34,7 @@
 #include "engine/device_engine.h"
 #include "engine/exec_backend.h"
 #include "func/engine.h"
+#include "func/exec_mode.h"
 #include "link/fabric.h"
 #include "mem/allocator.h"
 #include "mem/gpu_memory.h"
@@ -84,11 +85,11 @@ struct ContextOptions
     timing::GpuConfig gpu;
 
     /**
-     * Functional execution backend: the reference interpreter or the
-     * compiled micro-op executor (bitwise identical; the compiled backend is
-     * faster). Auto resolves from MLGS_EXEC, defaulting to compiled.
+     * Deprecated: the compiled micro-op executor is the only functional
+     * backend, and the context never reads this. Kept only for callers that
+     * still pin it; drop it with ExecMode (func/exec_mode.h).
      */
-    func::ExecMode exec_mode = func::ExecMode::Auto;
+    func::ExecMode exec_mode = func::ExecMode::Compiled;
 
     /**
      * How launches are timed in performance mode: every launch through the

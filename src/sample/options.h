@@ -4,8 +4,8 @@
  * every launch through the cycle-level GpuModel (Detailed), or cluster
  * launches by signature and cycle-simulate only cluster representatives
  * (Sampled), or additionally predict cycles for never-before-seen clusters
- * with a runtime-fitted ridge regression (Predicted). Selection order mirrors
- * func::ExecMode: an explicit ContextOptions choice wins, then the
+ * with a runtime-fitted ridge regression (Predicted). Selection order: an
+ * explicit ContextOptions choice wins, then the
  * MLGS_TIMING environment variable ("detailed" / "sampled" / "predicted"),
  * then the default (Detailed — the cycle model stays bitwise-unchanged
  * unless sampling is asked for).

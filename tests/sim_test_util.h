@@ -92,9 +92,8 @@ struct MiniGpu
     func::FunctionalEngine engine;
     func::SymbolTable symbols;
 
-    explicit MiniGpu(func::BugModel bugs = {},
-                     func::ExecMode mode = func::ExecMode::Auto)
-        : interp(mem, bugs, mode), engine(interp)
+    explicit MiniGpu(func::BugModel bugs = {})
+        : interp(mem, bugs), engine(interp)
     {
     }
 

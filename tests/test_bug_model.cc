@@ -5,13 +5,16 @@
  * nothing else. One probe kernel stores the three targeted instructions plus
  * a control group of neighbours (unsigned rem/bfe, signed div, explicit
  * mul+add, plain add); every flagged run is compared slot-by-slot against
- * the clean baseline.
+ * the clean baseline. The clean probe is also checked against the
+ * independent reference (difftest::RefExec), and every flagged result is
+ * pinned and must be the same on the batched and the single-step path.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 
+#include "difftest/ref_exec.h"
 #include "func/bug_model.h"
 #include "sim_test_util.h"
 
@@ -40,11 +43,7 @@ enum Slot
     kNumSlots = 8
 };
 
-/** Run the probe kernel under `bugs`; returns the 8 output slots raw. */
-std::vector<uint32_t>
-runProbe(func::BugModel bugs, func::ExecMode mode = func::ExecMode::Auto)
-{
-    const char *src = R"(
+constexpr const char *kProbeSrc = R"(
 .visible .entry bugprobe(.param .u64 out)
 {
     .reg .u64 %rd<2>;
@@ -89,13 +88,42 @@ runProbe(func::BugModel bugs, func::ExecMode mode = func::ExecMode::Auto)
     ret;
 }
 )";
-    MiniGpu gpu(bugs, mode);
-    const ptx::Module m = ptx::parseModule(src, "bugprobe.ptx");
+
+/**
+ * Run the probe kernel under `bugs`; returns the 8 output slots raw. With
+ * `single_step` the engine steps one warp instruction at a time (the path
+ * the timing model drives) instead of running batched.
+ */
+std::vector<uint32_t>
+runProbe(func::BugModel bugs, bool single_step = false)
+{
+    MiniGpu gpu(bugs);
+    func::WarpStreamCache streams;
+    if (single_step)
+        gpu.interp.setWarpStreamRecord(&streams);
+    const ptx::Module m = ptx::parseModule(kProbeSrc, "bugprobe.ptx");
     const addr_t out = gpu.alloc.alloc(kNumSlots * 4);
     ParamPack p;
     p.add<uint64_t>(out);
     gpu.run(m, "bugprobe", Dim3(1), Dim3(1), p);
     return gpu.download<uint32_t>(out, kNumSlots);
+}
+
+/** The probe on the independent scalar reference (clean semantics only). */
+std::vector<uint32_t>
+runProbeOnReference()
+{
+    const ptx::Module m = ptx::parseModule(kProbeSrc, "bugprobe.ptx");
+    const addr_t out = DeviceAllocator().alloc(kNumSlots * 4);
+    std::vector<uint8_t> bytes(kNumSlots * 4, 0);
+    ParamPack p;
+    p.add<uint64_t>(out);
+    difftest::RefExec ref(*m.findKernel("bugprobe"), Dim3(1), Dim3(1),
+                          p.bytes(), {{out, &bytes}});
+    ref.run();
+    std::vector<uint32_t> slots(kNumSlots);
+    std::memcpy(slots.data(), bytes.data(), bytes.size());
+    return slots;
 }
 
 uint32_t
@@ -180,45 +208,45 @@ TEST(BugModel, SplitFmaChangesExactlyFmaF32)
     EXPECT_EQ(bugged[kFmaF32], bugged[kMulAdd]);
 }
 
-// Bug injection is baked in at lowering time for the compiled backend, so
-// every flag must behave identically there: same targeted slot, same buggy
-// value, no collateral damage — regardless of what MLGS_EXEC says.
+// Bug injection is baked in when the kernel is lowered to micro-ops, so
+// every flag must behave identically on the single-step path the timing
+// model drives: same targeted slot, same buggy value, no collateral damage.
 
 TEST(BugModel, LegacyRemUnderCompiledBackend)
 {
-    const auto base = runProbe({}, func::ExecMode::Compiled);
-    const auto bugged =
-        runProbe({.legacy_rem = true}, func::ExecMode::Compiled);
+    const auto base = runProbe({}, true);
+    const auto bugged = runProbe({.legacy_rem = true}, true);
     expectOnlySlotChanged(base, bugged, kRemS32);
     EXPECT_EQ(bugged[kRemS32], 0u);
-    // Both backends produce the identical buggy bit pattern.
-    EXPECT_EQ(bugged, runProbe({.legacy_rem = true}, func::ExecMode::Interp));
+    // Batched and single-step produce the identical buggy bit pattern.
+    EXPECT_EQ(bugged, runProbe({.legacy_rem = true}));
 }
 
 TEST(BugModel, LegacyBfeUnderCompiledBackend)
 {
-    const auto base = runProbe({}, func::ExecMode::Compiled);
-    const auto bugged =
-        runProbe({.legacy_bfe = true}, func::ExecMode::Compiled);
+    const auto base = runProbe({}, true);
+    const auto bugged = runProbe({.legacy_bfe = true}, true);
     expectOnlySlotChanged(base, bugged, kBfeS32);
     EXPECT_EQ(bugged[kBfeS32], 15u);
-    EXPECT_EQ(bugged, runProbe({.legacy_bfe = true}, func::ExecMode::Interp));
+    EXPECT_EQ(bugged, runProbe({.legacy_bfe = true}));
 }
 
 TEST(BugModel, SplitFmaUnderCompiledBackend)
 {
-    const auto base = runProbe({}, func::ExecMode::Compiled);
-    const auto bugged =
-        runProbe({.split_fma = true}, func::ExecMode::Compiled);
+    const auto base = runProbe({}, true);
+    const auto bugged = runProbe({.split_fma = true}, true);
     expectOnlySlotChanged(base, bugged, kFmaF32);
     EXPECT_EQ(bugged[kFmaF32], bits(kFmaA * kFmaA + kFmaC));
-    EXPECT_EQ(bugged, runProbe({.split_fma = true}, func::ExecMode::Interp));
+    EXPECT_EQ(bugged, runProbe({.split_fma = true}));
 }
 
 TEST(BugModel, CleanProbeIdenticalAcrossBackends)
 {
-    EXPECT_EQ(runProbe({}, func::ExecMode::Interp),
-              runProbe({}, func::ExecMode::Compiled));
+    // The independent scalar reference, the batched executor and the
+    // single-step executor agree on the clean probe.
+    const auto ref = runProbeOnReference();
+    EXPECT_EQ(runProbe({}), ref);
+    EXPECT_EQ(runProbe({}, true), ref);
 }
 
 TEST(BugModel, FlagsComposeIndependently)

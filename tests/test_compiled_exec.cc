@@ -1,19 +1,23 @@
 /**
  * @file
- * Backend-equivalence contract for the compiled micro-op executor
- * (src/func/compiled/): for every opcode class, running the same kernel
- * under ExecMode::Interp and ExecMode::Compiled must produce bitwise-
- * identical register files, memory images, and FuncStats. The interpreter
- * is ground truth; any divergence here is a lowering or dispatch bug.
+ * Equivalence contract for the compiled micro-op executor
+ * (src/func/compiled/). For every opcode class, a kernel run batched
+ * (runWarp, the functional engine's path) and one warp instruction at a time
+ * (stepWarp, the path the timing model drives) must leave bitwise-identical
+ * register files, memory images and FuncStats. Where the independent scalar
+ * reference (difftest::RefExec) can run the kernel, both must also match its
+ * registers and memory. Kernels it rejects (vector ld/st, atomics, .local,
+ * reads of unallocated memory) pin their results instead.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
+#include "difftest/ref_exec.h"
+#include "func/site_profiler.h"
 #include "sim_test_util.h"
 
 using namespace mlgs;
@@ -31,7 +35,7 @@ struct StepRec
     std::vector<func::MemAccess> accesses; ///< in lane order
 };
 
-/** Final architectural state of one single-backend run. */
+/** Final architectural state of one run. */
 struct Image
 {
     std::vector<uint8_t> out;
@@ -39,45 +43,83 @@ struct Image
     func::FuncStats stats;
     size_t pages = 0;            ///< materialized device-memory pages
     std::vector<StepRec> steps;  ///< single-step mode: [cta][warp][step]
+    addr_t in_addr = 0, out_addr = 0; ///< device placement of the buffers
+    std::vector<std::string> reg_names; ///< register id -> PTX name
+
+    /** Raw cell of register `name` (e.g. "%r2") of thread `t`. */
+    uint64_t
+    reg(size_t t, const std::string &name) const
+    {
+        const auto it = std::find(reg_names.begin(), reg_names.end(), name);
+        MLGS_REQUIRE(it != reg_names.end(), "no register ", name);
+        return regs.at(t).at(size_t(it - reg_names.begin()));
+    }
 };
 
 /**
- * Run `kernel` under one backend. The kernel's parameter list must be
- * (.param .u64 in, .param .u64 out) or just (.param .u64 out); buffers are
- * placed by a fresh allocator so addresses match across backends.
+ * Device placement of the kernel buffers: a fresh allocator, so addresses
+ * match across runs. The kernel's parameter list must be
+ * (.param .u64 in, .param .u64 out) or just (.param .u64 out).
+ */
+struct Buffers
+{
+    addr_t in = 0, out = 0;
+    ParamPack params;
+
+    Buffers(const ptx::KernelDef &k, DeviceAllocator &alloc, size_t in_bytes,
+            size_t out_bytes)
+    {
+        if (in_bytes)
+            in = alloc.alloc(in_bytes);
+        out = alloc.alloc(out_bytes);
+        if (k.findParam("in"))
+            params.add<uint64_t>(in);
+        params.add<uint64_t>(out);
+    }
+};
+
+const ptx::KernelDef &
+findKernel(const ptx::Module &m, const std::string &kernel)
+{
+    const auto *k = m.findKernel(kernel);
+    MLGS_REQUIRE(k, "kernel not found: ", kernel);
+    return *k;
+}
+
+/**
+ * Run `kernel` on the compiled executor, batched or with `single_step` one
+ * warp instruction at a time. An attached site profiler also forces
+ * single-step execution.
  */
 Image
-runOne(func::ExecMode mode, const char *src, const std::string &kernel,
-       Dim3 grid, Dim3 block, const std::vector<uint8_t> &in,
-       size_t out_bytes, bool single_step = false)
+runOne(const char *src, const std::string &kernel, Dim3 grid, Dim3 block,
+       const std::vector<uint8_t> &in, size_t out_bytes,
+       bool single_step = false, func::SiteProfiler *prof = nullptr)
 {
-    MiniGpu gpu({}, mode);
+    MiniGpu gpu;
     // An attached warp-stream recorder makes the engine step one warp
     // instruction at a time, the path the timing model drives.
     func::WarpStreamCache streams;
     if (single_step)
         gpu.interp.setWarpStreamRecord(&streams);
+    gpu.interp.setSiteProfiler(prof);
     const ptx::Module m = ptx::parseModule(src, "compiled_exec.ptx");
-    const auto *k = m.findKernel(kernel);
-    MLGS_REQUIRE(k, "kernel not found: ", kernel);
+    const ptx::KernelDef &k = findKernel(m, kernel);
 
-    addr_t in0 = 0;
+    const Buffers buf(k, gpu.alloc, in.size(), out_bytes);
     if (!in.empty())
-        in0 = gpu.upload(in.data(), in.size());
-    const addr_t out = gpu.alloc.alloc(out_bytes);
-    gpu.mem.memset(out, 0, out_bytes);
-
-    ParamPack p;
-    if (k->findParam("in"))
-        p.add<uint64_t>(in0);
-    p.add<uint64_t>(out);
+        gpu.mem.write(buf.in, in.data(), in.size());
+    gpu.mem.memset(buf.out, 0, out_bytes);
 
     func::LaunchEnv env;
-    env.kernel = k;
-    env.params = p.bytes();
+    env.kernel = &k;
+    env.params = buf.params.bytes();
     env.symbols = &gpu.symbols;
 
     Image img;
+    img.in_addr = buf.in;
+    img.out_addr = buf.out;
+    img.reg_names = k.reg_names;
     const unsigned tpc = unsigned(block.count());
     for (uint64_t c = 0; c < grid.count(); c++) {
         auto cta = gpu.engine.makeCta(env, grid, block, c);
@@ -104,12 +146,38 @@ runOne(func::ExecMode mode, const char *src, const std::string &kernel,
         }
     }
     img.pages = gpu.mem.pageCount();
-    img.out = gpu.download<uint8_t>(out, out_bytes);
+    img.out = gpu.download<uint8_t>(buf.out, out_bytes);
     return img;
 }
 
-/** Every FuncStats counter must agree — the compiled batch loop keeps its
- *  own accounting and must not drift from the per-step interpreter path. */
+/** Run `kernel` on the independent scalar reference: registers and memory. */
+Image
+runReference(const char *src, const std::string &kernel, Dim3 grid,
+             Dim3 block, const std::vector<uint8_t> &in, size_t out_bytes)
+{
+    const ptx::Module m = ptx::parseModule(src, "compiled_exec.ptx");
+    const ptx::KernelDef &k = findKernel(m, kernel);
+    DeviceAllocator alloc;
+    const Buffers buf(k, alloc, in.size(), out_bytes);
+
+    Image img;
+    img.in_addr = buf.in;
+    img.out_addr = buf.out;
+    img.out.assign(out_bytes, 0);
+    std::vector<uint8_t> in_copy = in;
+    std::vector<difftest::RefBuffer> globals{{buf.out, &img.out}};
+    if (!in.empty())
+        globals.push_back({buf.in, &in_copy});
+    difftest::RefExec ref(k, grid, block, buf.params.bytes(), globals);
+    ref.run();
+    for (uint64_t c = 0; c < ref.numCtas(); c++)
+        for (unsigned t = 0; t < ref.threadsPerCta(); t++)
+            img.regs.push_back(ref.threadRegs(unsigned(c), t));
+    return img;
+}
+
+/** Every FuncStats counter must agree — the batch loop keeps its own
+ *  accounting and must not drift from the per-step path. */
 void
 expectStatsEqual(const func::FuncStats &a, const func::FuncStats &b)
 {
@@ -127,9 +195,9 @@ expectStatsEqual(const func::FuncStats &a, const func::FuncStats &b)
     EXPECT_EQ(a.shared_races, b.shared_races);
 }
 
-/** Assert two runs left bitwise-identical state. */
+/** Assert two runs left bitwise-identical registers and memory. */
 void
-expectSameImage(const Image &ref, const Image &cmp)
+expectSameState(const Image &ref, const Image &cmp)
 {
     EXPECT_EQ(ref.out, cmp.out) << "memory image diverged";
     EXPECT_EQ(ref.regs.size(), cmp.regs.size());
@@ -142,72 +210,54 @@ expectSameImage(const Image &ref, const Image &cmp)
                     << "thread " << t << " reg " << r;
         }
     }
+}
+
+/** Assert two executor runs left bitwise-identical state and stats. */
+void
+expectSameImage(const Image &ref, const Image &cmp)
+{
+    expectSameState(ref, cmp);
     expectStatsEqual(ref.stats, cmp.stats);
     EXPECT_EQ(ref.pages, cmp.pages) << "materialized pages diverged";
 }
 
-/** Assert two single-step runs handed the timing model the same steps,
- *  with the same per-lane accesses in the same order. */
-void
-expectSameSteps(const Image &ref, const Image &cmp)
-{
-    ASSERT_EQ(ref.steps.size(), cmp.steps.size());
-    for (size_t i = 0; i < ref.steps.size(); i++) {
-        const StepRec &a = ref.steps[i];
-        const StepRec &b = cmp.steps[i];
-        EXPECT_EQ(a.pc, b.pc) << "step " << i;
-        EXPECT_EQ(a.active, b.active) << "step " << i;
-        EXPECT_EQ(a.shared_accesses, b.shared_accesses) << "step " << i;
-        ASSERT_EQ(a.accesses.size(), b.accesses.size()) << "step " << i;
-        for (size_t j = 0; j < a.accesses.size(); j++) {
-            const func::MemAccess &x = a.accesses[j];
-            const func::MemAccess &y = b.accesses[j];
-            EXPECT_EQ(x.addr, y.addr) << "step " << i << " access " << j;
-            EXPECT_EQ(x.size, y.size) << "step " << i << " access " << j;
-            EXPECT_EQ(x.is_store, y.is_store) << "step " << i;
-            EXPECT_EQ(x.is_atomic, y.is_atomic) << "step " << i;
-            EXPECT_EQ(x.space, y.space) << "step " << i << " access " << j;
-        }
-    }
-}
-
-/** Run under both backends, batched and single-step, and assert bitwise
- *  state equality plus identical single-step access lists; returns the
- *  compiled batch image for semantic spot checks. */
+/** Run batched and single-step and assert bitwise-equal state and stats;
+ *  returns the batch image for pinned checks. */
 Image
-expectBothMatch(const char *src, const std::string &kernel, Dim3 grid,
-                Dim3 block, const std::vector<uint8_t> &in, size_t out_bytes)
+expectStepMatchesBatch(const char *src, const std::string &kernel, Dim3 grid,
+                       Dim3 block, const std::vector<uint8_t> &in,
+                       size_t out_bytes)
 {
-    const Image ref =
-        runOne(func::ExecMode::Interp, src, kernel, grid, block, in,
-               out_bytes);
-    const Image cmp =
-        runOne(func::ExecMode::Compiled, src, kernel, grid, block, in,
-               out_bytes);
-    expectSameImage(ref, cmp);
-    const Image ref_step =
-        runOne(func::ExecMode::Interp, src, kernel, grid, block, in,
-               out_bytes, true);
-    const Image cmp_step =
-        runOne(func::ExecMode::Compiled, src, kernel, grid, block, in,
-               out_bytes, true);
-    expectSameImage(ref, ref_step);
-    expectSameImage(ref, cmp_step);
-    expectSameSteps(ref_step, cmp_step);
-    return cmp;
+    const Image batch = runOne(src, kernel, grid, block, in, out_bytes);
+    const Image step = runOne(src, kernel, grid, block, in, out_bytes, true);
+    expectSameImage(batch, step);
+    return batch;
 }
 
-/** Both backends, batched and single-step, must reject the kernel. */
+/** expectStepMatchesBatch, plus registers and memory against the scalar
+ *  reference (so both runs match it). */
+Image
+expectMatchesReference(const char *src, const std::string &kernel, Dim3 grid,
+                       Dim3 block, const std::vector<uint8_t> &in,
+                       size_t out_bytes)
+{
+    const Image batch =
+        expectStepMatchesBatch(src, kernel, grid, block, in, out_bytes);
+    expectSameState(runReference(src, kernel, grid, block, in, out_bytes),
+                    batch);
+    return batch;
+}
+
+/** Batched and single-step runs must both reject the kernel. */
 void
 expectAllFail(const char *src, const std::string &kernel, Dim3 grid,
               Dim3 block, size_t out_bytes)
 {
-    for (const auto mode : {func::ExecMode::Interp, func::ExecMode::Compiled})
-        for (const bool single_step : {false, true})
-            EXPECT_THROW(runOne(mode, src, kernel, grid, block, {}, out_bytes,
-                                single_step),
-                         FatalError)
-                << func::execModeName(mode) << " single_step=" << single_step;
+    for (const bool single_step : {false, true})
+        EXPECT_THROW(runOne(src, kernel, grid, block, {}, out_bytes,
+                            single_step),
+                     FatalError)
+            << kernel << " single_step=" << single_step;
 }
 
 template <typename T>
@@ -217,6 +267,15 @@ asBytes(const std::vector<T> &v)
     std::vector<uint8_t> b(v.size() * sizeof(T));
     std::memcpy(b.data(), v.data(), b.size());
     return b;
+}
+
+template <typename T>
+std::vector<T>
+fromBytes(const std::vector<uint8_t> &b)
+{
+    std::vector<T> v(b.size() / sizeof(T));
+    std::memcpy(v.data(), b.data(), v.size() * sizeof(T));
+    return v;
 }
 
 // ---- integer arithmetic, shifts, min/max, bit ops ----
@@ -288,7 +347,8 @@ TEST(CompiledExec, IntegerArithMatchesInterp)
         in.push_back(interesting[t % 8]);
         in.push_back(interesting[(t / 2 + 3) % 8]);
     }
-    expectBothMatch(src, "intarith", Dim3(1), Dim3(32), asBytes(in), 32 * 4);
+    expectMatchesReference(src, "intarith", Dim3(1), Dim3(32), asBytes(in),
+                           32 * 4);
 }
 
 // ---- float arithmetic: NaN canonicalization, signed zeros, fma, sfu ----
@@ -356,8 +416,8 @@ TEST(CompiledExec, FloatArithMatchesInterp)
         in.push_back(interesting[t % 8]);
         in.push_back(interesting[(t / 3 + 5) % 8]);
     }
-    expectBothMatch(src, "floatarith", Dim3(1), Dim3(32), asBytes(in),
-                    32 * 4);
+    expectMatchesReference(src, "floatarith", Dim3(1), Dim3(32), asBytes(in),
+                           32 * 4);
 }
 
 TEST(CompiledExec, MinMaxNanAndSignedZero)
@@ -385,8 +445,8 @@ TEST(CompiledExec, MinMaxNanAndSignedZero)
     ret;
 }
 )";
-    const Image img = expectBothMatch(src, "minmax", Dim3(1), Dim3(1), {},
-                                      4 * 4);
+    const Image img =
+        expectMatchesReference(src, "minmax", Dim3(1), Dim3(1), {}, 4 * 4);
     uint32_t w[4];
     std::memcpy(w, img.out.data(), 16);
     EXPECT_EQ(w[2], 0x80000000u); // min(-0, +0) = -0
@@ -432,7 +492,8 @@ TEST(CompiledExec, CvtRoundingMatchesInterp)
     std::vector<float> in = {0.5f,  1.5f,   2.5f,  -0.5f, -1.5f, -2.5f,
                              0.49f, -0.49f, 3.7f,  -3.7f, 0.0f,  -0.0f,
                              1e9f,  -1e9f,  65504.0f, 1.0009765625f};
-    expectBothMatch(src, "cvts", Dim3(1), Dim3(16), asBytes(in), 16 * 16);
+    expectMatchesReference(src, "cvts", Dim3(1), Dim3(16), asBytes(in),
+                           16 * 16);
 }
 
 // ---- bfe/bfi bit-field ops ----
@@ -474,7 +535,8 @@ TEST(CompiledExec, BfeBfiMatchesInterp)
         in.push_back(0xf0f0a5c3u * (t + 1));
         in.push_back(t * 37u + (t << 7));
     }
-    expectBothMatch(src, "bitfield", Dim3(1), Dim3(32), asBytes(in), 32 * 12);
+    expectMatchesReference(src, "bitfield", Dim3(1), Dim3(32), asBytes(in),
+                           32 * 12);
 }
 
 // ---- shared memory + bar.sync tree reduction ----
@@ -528,7 +590,7 @@ EXIT:
     std::vector<float> in;
     for (unsigned t = 0; t < 64; t++)
         in.push_back(float(t) * 0.25f - 3.0f);
-    expectBothMatch(src, "reduce", Dim3(2), Dim3(32), asBytes(in), 4);
+    expectMatchesReference(src, "reduce", Dim3(2), Dim3(32), asBytes(in), 4);
 }
 
 // ---- several warps per CTA with a partial last warp ----
@@ -538,8 +600,6 @@ TEST(CompiledExec, MultiWarpPartialCtaMatchesInterp)
     // 80 threads per CTA: two full warps and a 16-lane one. Every warp's
     // registers share one block, so this checks the lane indexing of every
     // warp, the padded tail, the shared exchange across warps and .local.
-    // The compiled backend runs both its batch loop and its single-step
-    // path (the one the timing model drives).
     const char *src = R"(
 .visible .entry multiwarp(.param .u64 in, .param .u64 out)
 {
@@ -601,12 +661,8 @@ SKIP:
     for (unsigned t = 0; t < 160; t++)
         in.push_back(float(t) * 0.375f - 20.0f);
     const Dim3 grid(2), block(8, 5, 2);
-    const Image batch = expectBothMatch(src, "multiwarp", grid, block,
-                                        asBytes(in), 160 * 4 * 2);
-    const Image step =
-        runOne(func::ExecMode::Compiled, src, "multiwarp", grid, block,
-               asBytes(in), 160 * 4 * 2, /*single_step=*/true);
-    expectSameImage(batch, step);
+    const Image batch = expectStepMatchesBatch(src, "multiwarp", grid, block,
+                                               asBytes(in), 160 * 4 * 2);
     EXPECT_EQ(batch.regs.size(), 160u);
 
     // Each thread stored its cross-warp neighbour's value.
@@ -650,7 +706,13 @@ TEST(CompiledExec, VectorLdStMatchesInterp)
         in.push_back(float(t) * 1.5f);
         in.push_back(float(t) - 16.5f);
     }
-    expectBothMatch(src, "vecldst", Dim3(1), Dim3(16), asBytes(in), 16 * 8);
+    const Image img = expectStepMatchesBatch(src, "vecldst", Dim3(1),
+                                             Dim3(16), asBytes(in), 16 * 8);
+    const std::vector<float> got = fromBytes<float>(img.out);
+    for (unsigned t = 0; t < 16; t++) {
+        EXPECT_EQ(got[2 * t], in[2 * t] + in[2 * t + 1]) << "thread " << t;
+        EXPECT_EQ(got[2 * t + 1], in[2 * t] - in[2 * t + 1]) << "thread " << t;
+    }
 }
 
 // ---- divergent control flow: data-dependent diamond, nested ----
@@ -692,7 +754,8 @@ JOIN:
     std::vector<uint32_t> in;
     for (unsigned t = 0; t < 64; t++)
         in.push_back(t * 2654435761u);
-    expectBothMatch(src, "diamond", Dim3(2), Dim3(32), asBytes(in), 64 * 4);
+    expectMatchesReference(src, "diamond", Dim3(2), Dim3(32), asBytes(in),
+                           64 * 4);
 }
 
 // ---- atomics: global add contention + cas, shared add ----
@@ -730,13 +793,22 @@ SKIP:
     ret;
 }
 )";
-    const Image img = expectBothMatch(src, "atomics", Dim3(2), Dim3(32), {},
-                                      3 * 4);
-    uint32_t w[2];
-    std::memcpy(w, img.out.data(), 8);
+    const Image img =
+        expectStepMatchesBatch(src, "atomics", Dim3(2), Dim3(32), {}, 3 * 4);
+    uint32_t w[3];
+    std::memcpy(w, img.out.data(), 12);
     EXPECT_EQ(w[0], 64u);  // 64 threads atomically incremented slot 0
     EXPECT_EQ(w[1], 496u); // sum 0..31 per CTA
-    expectBothMatch(src, "atomics2", Dim3(1), Dim3(4), {}, 3 * 4);
+    // Lanes run in order: each thread's old value is the count before it.
+    for (unsigned t = 0; t < 64; t++)
+        EXPECT_EQ(uint32_t(img.reg(t, "%r2")), t) << "thread " << t;
+    const Image cas =
+        expectStepMatchesBatch(src, "atomics2", Dim3(1), Dim3(4), {}, 3 * 4);
+    std::memcpy(w, cas.out.data(), 12);
+    EXPECT_EQ(w[2], 42u); // only lane 0 saw 0 and swapped
+    EXPECT_EQ(uint32_t(cas.reg(0, "%r3")), 0u);
+    for (unsigned t = 1; t < 4; t++)
+        EXPECT_EQ(uint32_t(cas.reg(t, "%r3")), 42u) << "thread " << t;
 }
 
 // ---- selp / setp variants including float NaN compares ----
@@ -796,7 +868,8 @@ TEST(CompiledExec, SetpSelpMatchesInterp)
         in.push_back(vals[t % 8]);
         in.push_back(vals[(t / 2 + 1) % 8]);
     }
-    expectBothMatch(src, "selects", Dim3(1), Dim3(32), asBytes(in), 32 * 4);
+    expectMatchesReference(src, "selects", Dim3(1), Dim3(32), asBytes(in),
+                           32 * 4);
 }
 
 // ---- warp-wide ld/st, compare, convert and special-register edge cases ----
@@ -833,8 +906,24 @@ TEST(CompiledExec, PageStraddlingGlobalLdStMatchesInterp)
     std::vector<uint32_t> in(3 * 1024);
     for (size_t i = 0; i < in.size(); i++)
         in[i] = uint32_t(i) * 2654435761u;
-    expectBothMatch(src, "straddle", Dim3(1), Dim3(32), asBytes(in),
-                    3 * 4096);
+    const std::vector<uint8_t> bytes = asBytes(in);
+    const Image img = expectStepMatchesBatch(src, "straddle", Dim3(1),
+                                             Dim3(32), bytes, 3 * 4096);
+    // Replay the stores on the host in lane order: the higher lane wins.
+    const auto lastPageEnd = [](addr_t a) {
+        return ((a + 4096) & ~addr_t(4095)) - 60;
+    };
+    const size_t src_off = size_t(lastPageEnd(img.in_addr) - img.in_addr);
+    const size_t dst_off = size_t(lastPageEnd(img.out_addr) - img.out_addr);
+    std::vector<uint8_t> want(3 * 4096, 0);
+    for (size_t lane = 0; lane < 32; lane++)
+        std::memcpy(&want[dst_off + 4 * lane], &bytes[src_off + 4 * lane], 8);
+    for (size_t lane = 0; lane < 32; lane++) {
+        const uint8_t *lo = &bytes[src_off + 4 * lane];
+        std::memcpy(&want[dst_off + 256 + 4 * lane], lo + 4, 4);
+        std::memcpy(&want[dst_off + 256 + 4 * lane + 4], lo, 4);
+    }
+    EXPECT_EQ(img.out, want);
 }
 
 TEST(CompiledExec, NeverWrittenPageReadsZero)
@@ -860,7 +949,7 @@ TEST(CompiledExec, NeverWrittenPageReadsZero)
 }
 )";
     const Image img =
-        expectBothMatch(src, "untouched", Dim3(1), Dim3(32), {}, 32 * 4);
+        expectStepMatchesBatch(src, "untouched", Dim3(1), Dim3(32), {}, 32 * 4);
     for (const uint8_t b : img.out)
         EXPECT_EQ(b, 0);
 }
@@ -911,7 +1000,17 @@ TEST(CompiledExec, GenericLoadAcrossSpacesMatchesInterp)
     std::vector<uint32_t> in(32);
     for (unsigned t = 0; t < 32; t++)
         in[t] = 0xabc00000u + t;
-    expectBothMatch(src, "spaces", Dim3(1), Dim3(32), asBytes(in), 256);
+    const Image img =
+        expectStepMatchesBatch(src, "spaces", Dim3(1), Dim3(32), asBytes(in),
+                               256);
+    const std::vector<uint32_t> got = fromBytes<uint32_t>(img.out);
+    for (unsigned t = 0; t < 32; t++) {
+        // Lane t % 4 read global, shared, param `in` and local; the shared
+        // lanes stored back to shared, leaving their global word alone.
+        const uint32_t want[4] = {in[t], 0, uint32_t(img.in_addr), t};
+        EXPECT_EQ(got[t], want[t % 4]) << "lane " << t;
+        EXPECT_EQ(got[32 + t], t + 1000) << "lane " << t;
+    }
 }
 
 TEST(CompiledExec, OutOfBoundsParamAndSharedStillFail)
@@ -955,17 +1054,90 @@ TEST(CompiledExec, OutOfBoundsParamAndSharedStillFail)
     st.shared.u32 [%rd3+2], %r1;
     ret;
 }
+.visible .entry param_below(.param .u64 out)
+{
+    .reg .u64 %rd<3>;
+    .reg .u32 %r<2>;
+    mov.u64 %rd1, out;
+    sub.u64 %rd2, %rd1, 2;
+    ld.param.u32 %r1, [%rd2];
+    ret;
+}
+.visible .entry shared_ld_below(.param .u64 out)
+{
+    .reg .u64 %rd<3>;
+    .reg .u32 %r<2>;
+    .shared .align 4 .b8 sbuf[64];
+    mov.u64 %rd1, sbuf;
+    sub.u64 %rd2, %rd1, 2;
+    ld.shared.u32 %r1, [%rd2];
+    ret;
+}
+.visible .entry shared_st_below(.param .u64 out)
+{
+    .reg .u64 %rd<3>;
+    .reg .u32 %r<2>;
+    .shared .align 4 .b8 sbuf[64];
+    mov.u32 %r1, %tid.x;
+    mov.u64 %rd1, sbuf;
+    sub.u64 %rd2, %rd1, 2;
+    st.shared.u32 [%rd2], %r1;
+    ret;
+}
+.visible .entry shared_atom_below(.param .u64 out)
+{
+    .reg .u64 %rd<3>;
+    .reg .u32 %r<2>;
+    .shared .align 4 .b8 sbuf[64];
+    mov.u64 %rd1, sbuf;
+    sub.u64 %rd2, %rd1, 2;
+    atom.shared.add.u32 %r1, [%rd2], 1;
+    ret;
+}
+.visible .entry local_ld_below(.param .u64 out)
+{
+    .reg .u64 %rd<3>;
+    .reg .u32 %r<2>;
+    .local .align 4 .b8 lbuf[8];
+    mov.u64 %rd1, lbuf;
+    sub.u64 %rd2, %rd1, 2;
+    ld.local.u32 %r1, [%rd2];
+    ret;
+}
+.visible .entry local_st_below(.param .u64 out)
+{
+    .reg .u64 %rd<3>;
+    .reg .u32 %r<2>;
+    .local .align 4 .b8 lbuf[8];
+    mov.u32 %r1, %tid.x;
+    mov.u64 %rd1, lbuf;
+    sub.u64 %rd2, %rd1, 2;
+    st.local.u32 [%rd2], %r1;
+    ret;
+}
 )";
     // param_sym starts at the end of the 8-byte block; param_reg starts
     // inside it and runs 2 bytes past.
     expectAllFail(src, "param_sym", Dim3(1), Dim3(32), 4);
     expectAllFail(src, "param_reg", Dim3(1), Dim3(32), 4);
+    // 2 bytes below a window: the offset from the window base wraps to
+    // 2^64 - 2, and the access must still be rejected, not read or written
+    // in front of the buffer.
+    for (const char *k : {"param_below", "shared_ld_below", "shared_st_below",
+                          "shared_atom_below", "local_ld_below",
+                          "local_st_below"})
+        expectAllFail(src, k, Dim3(1), Dim3(32), 4);
+    // The scalar reference (no atomics or .local) rejects them too.
+    for (const char *k : {"param_below", "shared_ld_below", "shared_st_below"})
+        EXPECT_THROW(runReference(src, k, Dim3(1), Dim3(32), {}, 4),
+                     FatalError)
+            << k;
     // With 16 lanes only the last access (bytes 62..65) leaves the 64-byte
     // segment; with 15 every access is inside it.
     expectAllFail(src, "shared_ld", Dim3(1), Dim3(16), 4);
     expectAllFail(src, "shared_st", Dim3(1), Dim3(16), 4);
-    expectBothMatch(src, "shared_ld", Dim3(1), Dim3(15), {}, 4);
-    expectBothMatch(src, "shared_st", Dim3(1), Dim3(15), {}, 4);
+    expectMatchesReference(src, "shared_ld", Dim3(1), Dim3(15), {}, 4);
+    expectMatchesReference(src, "shared_st", Dim3(1), Dim3(15), {}, 4);
 }
 
 TEST(CompiledExec, UnsignedCompareOnSignedAndIntCvtEdges)
@@ -1037,7 +1209,8 @@ TEST(CompiledExec, UnsignedCompareOnSignedAndIntCvtEdges)
         in.push_back(vals[(t / 8 + t) % 8]);
     }
     const Image img =
-        expectBothMatch(src, "edges", Dim3(1), Dim3(32), asBytes(in), 32 * 64);
+        expectMatchesReference(src, "edges", Dim3(1), Dim3(32), asBytes(in),
+                               32 * 64);
     // Lane 0: INT_MIN vs itself. Unsigned and signed agree on equality.
     uint32_t flags0, flags1;
     std::memcpy(&flags0, img.out.data(), 4);
@@ -1080,7 +1253,8 @@ TEST(CompiledExec, SpecialRegistersInPartialLastWarp)
 }
 )";
     const Image img =
-        expectBothMatch(src, "sregs", Dim3(2), Dim3(6, 4, 2), {}, 96 * 16);
+        expectStepMatchesBatch(src, "sregs", Dim3(2), Dim3(6, 4, 2), {},
+                               96 * 16);
     for (unsigned cta = 0; cta < 2; cta++) {
         for (unsigned t = 0; t < 48; t++) {
             uint32_t v[4];
@@ -1093,37 +1267,145 @@ TEST(CompiledExec, SpecialRegistersInPartialLastWarp)
     }
 }
 
-// ---- backend selection plumbing ----
+// ---- observers: site profiler and the single-step access list ----
 
-TEST(CompiledExec, ExplicitModeOverridesEnvironment)
+/** Global, shared (declared and generic) and shared-atomic accesses. */
+const char *kProfiledSrc = R"(
+.visible .entry profk(.param .u64 in, .param .u64 out)
 {
-    // Whatever MLGS_EXEC says, an explicit constructor choice wins; Auto
-    // resolves the env var.
-    char *saved = std::getenv("MLGS_EXEC");
-    const std::string saved_val = saved ? saved : "";
+    .reg .u64 %rd<12>;
+    .reg .u32 %r<8>;
+    .shared .align 4 .b8 sbuf[512];
+    .shared .align 4 .b8 scount[4];
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd3, %r1, 4;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.u32 %r2, [%rd4];
+    mul.wide.u32 %rd5, %r1, 8;
+    mov.u64 %rd6, sbuf;
+    add.u64 %rd7, %rd6, %rd5;
+    st.shared.u32 [%rd7], %r2;
+    mov.u64 %rd8, scount;
+    atom.shared.add.u32 %r3, [%rd8], 1;
+    bar.sync 0;
+    add.u64 %rd9, %rd6, %rd3;
+    ld.shared.u32 %r4, [%rd9];
+    ld.u32 %r5, [%rd7];
+    add.u32 %r4, %r4, %r5;
+    add.u32 %r4, %r4, %r3;
+    mul.wide.u32 %rd10, %r1, 128;
+    add.u64 %rd11, %rd2, %rd10;
+    st.global.u32 [%rd11], %r4;
+    ret;
+}
+)";
 
-    ::setenv("MLGS_EXEC", "interp", 1);
+std::vector<uint8_t>
+profiledInput()
+{
+    std::vector<uint32_t> in(96);
+    for (unsigned i = 0; i < in.size(); i++)
+        in[i] = i * 2654435761u;
+    return asBytes(in);
+}
+
+TEST(CompiledExec, SiteProfilerIsObservational)
+{
+    // Two CTAs of 48 threads: each has a full warp and a 16-lane one.
+    const Dim3 grid(2), block(48);
+    const std::vector<uint8_t> in = profiledInput();
+    func::SiteProfiler prof;
+    const Image plain =
+        runOne(kProfiledSrc, "profk", grid, block, in, 48 * 128);
+    const Image profiled = runOne(kProfiledSrc, "profk", grid, block, in,
+                                  48 * 128, false, &prof);
+    expectSameImage(plain, profiled);
+
+    const auto &kernels = prof.kernels();
+    ASSERT_EQ(kernels.size(), 1u);
+    const func::SiteProfiler::KernelSites &ks = kernels.begin()->second;
+    EXPECT_EQ(kernels.begin()->first, "profk@48x1x1");
+
+    struct G
     {
-        GpuMemory mem;
-        func::Interpreter explicit_compiled(mem, {},
-                                            func::ExecMode::Compiled);
-        EXPECT_EQ(explicit_compiled.execMode(), func::ExecMode::Compiled);
-        func::Interpreter auto_resolved(mem);
-        EXPECT_EQ(auto_resolved.execMode(), func::ExecMode::Interp);
-    }
-    ::setenv("MLGS_EXEC", "compiled", 1);
-    {
-        GpuMemory mem;
-        func::Interpreter auto_resolved(mem);
-        EXPECT_EQ(auto_resolved.execMode(), func::ExecMode::Compiled);
-        func::Interpreter explicit_interp(mem, {}, func::ExecMode::Interp);
-        EXPECT_EQ(explicit_interp.execMode(), func::ExecMode::Interp);
+        uint32_t pc;
+        uint64_t acc, txn, full_acc, full_txn;
+        bool is_store;
+    };
+    // ld.global: one line per warp; st.global: one line per lane.
+    const G globals[] = {{5, 4, 4, 2, 2, false}, {20, 4, 96, 2, 64, true}};
+    ASSERT_EQ(ks.globals.size(), 2u);
+    for (const G &g : globals) {
+        const auto it = ks.globals.find(g.pc);
+        ASSERT_NE(it, ks.globals.end()) << "pc " << g.pc;
+        const auto &m = it->second;
+        EXPECT_EQ(m.accesses, g.acc) << "pc " << g.pc;
+        EXPECT_EQ(m.transactions, g.txn) << "pc " << g.pc;
+        EXPECT_EQ(m.full_accesses, g.full_acc) << "pc " << g.pc;
+        EXPECT_EQ(m.full_transactions, g.full_txn) << "pc " << g.pc;
+        EXPECT_EQ(m.is_store, g.is_store) << "pc " << g.pc;
+        EXPECT_FALSE(m.is_atomic) << "pc " << g.pc;
+        EXPECT_EQ(m.width, 4u) << "pc " << g.pc;
     }
 
-    if (saved)
-        ::setenv("MLGS_EXEC", saved_val.c_str(), 1);
-    else
-        ::unsetenv("MLGS_EXEC");
+    struct S
+    {
+        uint32_t pc;
+        uint64_t degree_sum, full_degree_sum;
+        unsigned max_degree;
+        uint64_t broadcasts;
+        bool is_store;
+    };
+    // Stride-8 st.shared and generic ld: 2-way on a full warp, conflict-free
+    // on 16 lanes. The atomic is a broadcast; the unit-stride load is
+    // conflict-free.
+    const S shared[] = {{9, 6, 4, 2, 0, true},
+                        {11, 4, 2, 1, 4, true},
+                        {14, 4, 2, 1, 0, false},
+                        {15, 6, 4, 2, 0, false}};
+    ASSERT_EQ(ks.shared.size(), 4u);
+    for (const S &e : shared) {
+        const auto it = ks.shared.find(e.pc);
+        ASSERT_NE(it, ks.shared.end()) << "pc " << e.pc;
+        const auto &m = it->second;
+        EXPECT_EQ(m.accesses, 4u) << "pc " << e.pc;
+        EXPECT_EQ(m.degree_sum, e.degree_sum) << "pc " << e.pc;
+        EXPECT_EQ(m.full_accesses, 2u) << "pc " << e.pc;
+        EXPECT_EQ(m.full_degree_sum, e.full_degree_sum) << "pc " << e.pc;
+        EXPECT_EQ(m.max_degree, e.max_degree) << "pc " << e.pc;
+        EXPECT_EQ(m.broadcasts, e.broadcasts) << "pc " << e.pc;
+        EXPECT_EQ(m.is_store, e.is_store) << "pc " << e.pc;
+        EXPECT_EQ(m.width, 4u) << "pc " << e.pc;
+    }
+}
+
+TEST(CompiledExec, SingleStepGlobalLoadListsLanesInOrder)
+{
+    // The timing model coalesces a warp's accesses in the order the step
+    // lists them: one MemAccess per active lane, in lane order.
+    const Image img = runOne(kProfiledSrc, "profk", Dim3(1), Dim3(48),
+                             profiledInput(), 48 * 128, true);
+    std::vector<const StepRec *> loads;
+    for (const StepRec &st : img.steps)
+        if (st.pc == 5)
+            loads.push_back(&st);
+    ASSERT_EQ(loads.size(), 2u); // warp 0 (32 lanes), warp 1 (16 lanes)
+    for (unsigned w = 0; w < 2; w++) {
+        const unsigned lanes = w == 0 ? 32 : 16;
+        EXPECT_EQ(loads[w]->active, w == 0 ? kFullWarpMask : 0xffffu);
+        ASSERT_EQ(loads[w]->accesses.size(), lanes) << "warp " << w;
+        for (unsigned lane = 0; lane < lanes; lane++) {
+            const func::MemAccess &a = loads[w]->accesses[lane];
+            EXPECT_EQ(a.addr, img.in_addr + 4 * (32 * w + lane))
+                << "warp " << w << " lane " << lane;
+            EXPECT_EQ(a.size, 4u);
+            EXPECT_FALSE(a.is_store);
+            EXPECT_FALSE(a.is_atomic);
+            EXPECT_EQ(a.space, ptx::Space::Global);
+        }
+    }
 }
 
 } // namespace

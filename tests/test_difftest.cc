@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <sstream>
 
 #include "difftest/difftest.h"
 #include "func/site_profiler.h"
@@ -185,53 +184,6 @@ TEST(DifftestReproducer, DumpAndReRunRefails)
         << "reproducer no longer fails: " << again.failure;
 }
 
-TEST(DifftestExecSelection, SingleBackendCleanRunsPass)
-{
-    KernelGen gen(5);
-    const GenKernel gk = gen.generate();
-    for (DiffExec sel : {DiffExec::Interp, DiffExec::Compiled}) {
-        DiffOptions opts;
-        opts.exec = sel;
-        opts.check_bug_detectability = false;
-        const DiffResult r = runKernel(gk, opts);
-        EXPECT_TRUE(r.ok) << r.failure;
-        EXPECT_TRUE(r.diverged_backend.empty()) << r.diverged_backend;
-    }
-}
-
-TEST(DifftestExecSelection, InjectedDivergenceNamesBothBackends)
-{
-    // The flags are semantic (baked into both backends), so an injected
-    // divergence must show up on the interpreter AND the compiled executor,
-    // and the reproducer sidecar must record selection + culprit.
-    DiffOptions opts;
-    opts.inject.legacy_rem = true;
-    opts.exec = DiffExec::Both;
-
-    KernelGen gen(7);
-    GenKernel gk = gen.generate();
-    const DiffResult r = runKernel(gk, opts);
-    ASSERT_TRUE(r.injected_diverged);
-    EXPECT_EQ(r.diverged_backend, "interp+compiled");
-
-    mlgs::test::ScopedTmpDir tmp;
-    const std::string base = tmp.file("repro_exec");
-    dumpReproducer(gk, opts, base, &r);
-
-    std::ifstream js(base + ".json");
-    ASSERT_TRUE(js.good());
-    std::stringstream ss;
-    ss << js.rdbuf();
-    const std::string sidecar = ss.str();
-    EXPECT_NE(sidecar.find("\"exec\": \"both\""), std::string::npos);
-    EXPECT_NE(sidecar.find("\"diverged_backend\": \"interp+compiled\""),
-              std::string::npos);
-
-    const DiffResult again = runReproducer(base);
-    EXPECT_TRUE(again.injected_diverged) << again.failure;
-    EXPECT_EQ(again.diverged_backend, "interp+compiled");
-}
-
 TEST(DifftestReference, DisagreesWithEveryInjectedBugOnProbeKernel)
 {
     // Directly exercise the injected paths on one kernel (not via corpus
@@ -340,9 +292,9 @@ TEST_P(DifftestStrideProbe, StaticAndMeasuredClassMatchSeed)
         ASSERT_NE(ssite, nullptr) << "seed " << seed;
         EXPECT_EQ(ssite->conflict_degree, c.degree) << "seed " << seed;
 
-        // Dynamic side: run under the interpreter with the site profiler
-        // attached and require the measured counters to agree exactly.
-        mlgs::test::MiniGpu gpu({}, func::ExecMode::Interp);
+        // Dynamic side: run with the site profiler attached and require the
+        // measured counters to agree exactly.
+        mlgs::test::MiniGpu gpu;
         func::SiteProfiler prof;
         gpu.interp.setSiteProfiler(&prof);
 

@@ -379,7 +379,7 @@ joinAgreement(const KernelPerfReport &rep,
 
 TEST(PerfLintAgreement, ShippedKernelsMatchMeasuredCounters)
 {
-    test::MiniGpu gpu({}, func::ExecMode::Interp);
+    test::MiniGpu gpu;
     func::SiteProfiler prof;
     gpu.interp.setSiteProfiler(&prof);
 
